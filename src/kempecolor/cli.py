@@ -120,7 +120,7 @@ def cmd_bench(args) -> int:
             degrees, sizes, args.instances, seed,
             args.repetition_limit, args.iteration_limit, args.precolor,
         )
-    except GraphError as exc:
+    except (GraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, UncoloredEdgeError
 
 
 def conflict_level(graph: Graph, v: int) -> int:
@@ -57,24 +57,34 @@ class _RandomSet:
 
 
 class ConflictDictionary:
-    """Levels and buckets for a totally colored graph."""
+    """Levels and buckets for a totally colored graph.
+
+    A flat count table ``_cnt[v*D + c]`` holds the number of edges of
+    color c at vertex v, so one recoloring updates each endpoint's level
+    in O(1): level = sum over c of max(0, count - 1).
+    """
 
     def __init__(self, graph: Graph, colors: int):
         self.graph = graph
         self.colors = colors
-        self._level: list[int] = [conflict_level(graph, v) for v in range(graph.n)]
-        self._buckets: dict[int, _RandomSet] = {}
+        _check_colors(graph, colors)
+        cnt = [0] * (graph.n * colors)
+        level = [0] * graph.n
+        for (u, v), c in zip(graph.edges(), graph._colors):
+            for x in (u, v):
+                k = x * colors + c
+                if cnt[k]:
+                    level[x] += 1
+                cnt[k] += 1
+        self._cnt = cnt
+        self._level = level
+        # a level never exceeds degree - 1, so every bucket exists up front
+        self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
         self.total = 0
-        for v, lvl in enumerate(self._level):
+        for v, lvl in enumerate(level):
             if lvl > 0:
-                self._bucket(lvl).add(v)
+                self._buckets[lvl].add(v)
                 self.total += lvl
-
-    def _bucket(self, level: int) -> _RandomSet:
-        b = self._buckets.get(level)
-        if b is None:
-            b = self._buckets[level] = _RandomSet()
-        return b
 
     def level(self, v: int) -> int:
         return self._level[v]
@@ -103,42 +113,80 @@ class ConflictDictionary:
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
-        graph = self.graph
-        graph.edge_index(u, v)  # raises on a nonexistent edge
-        graph.set_edge_color(u, v, color)
-        self._update(u)
-        return self._update(v)
+        return self._recolor(u, v, self.graph.edge_index(u, v), color)
 
-    def _update(self, v: int) -> int:
-        old = self._level[v]
-        # inlined conflict_level: this is the hot path of every recoloring
-        graph = self.graph
-        adj = graph._adj[v]
-        colors = graph._colors
-        new = len(adj) - len({colors[idx] for idx in adj.values()}) if adj else 0
-        if new != old:
-            if old > 0:
-                self._buckets[old].remove(v)
-            if new > 0:
-                self._bucket(new).add(v)
-            self._level[v] = new
-            self.total += new - old
-        return new - old
+    def _recolor(self, u: int, v: int, idx: int, color: int) -> int:
+        """color_edge without validation: idx must be edge {u, v}, color in range."""
+        colors = self.graph._colors
+        old = colors[idx]
+        if old == color:
+            return 0
+        colors[idx] = color
+        cnt, level, buckets = self._cnt, self._level, self._buckets
+        width = self.colors
+        for x in (u, v):
+            k_old = x * width + old
+            k_new = k_old + color - old
+            # read before the move: the new color adds a repeat if already
+            # present at x, the old one loses a repeat if it was repeated
+            delta = (cnt[k_new] > 0) - (cnt[k_old] > 1)
+            cnt[k_old] -= 1
+            cnt[k_new] += 1
+            if delta:
+                lvl = level[x]
+                if lvl > 0:
+                    buckets[lvl].remove(x)
+                lvl += delta
+                if lvl > 0:
+                    buckets[lvl].add(x)
+                level[x] = lvl
+                self.total += delta
+        return delta
 
     def recomputed_total(self) -> int:
         """From-scratch conflictivity; must always equal the cached total."""
         return sum(conflict_level(self.graph, v) for v in range(self.graph.n))
 
     def check_consistency(self) -> None:
-        """Debug assertion: cached state equals a from-scratch rebuild."""
-        fresh = ConflictDictionary(self.graph, self.colors)
-        assert self._level == fresh._level, "stale conflict level"
-        assert self.total == fresh.total == self.recomputed_total(), "stale total"
-        levels = set(self._nonempty_levels()) | set(fresh._nonempty_levels())
-        for lvl in levels:
-            assert self.bucket_members(lvl) == fresh.bucket_members(lvl), (
-                f"bucket {lvl} out of sync"
-            )
+        """Raise RuntimeError unless the cached state matches a recount.
+
+        Levels are compared with the set-based ``conflict_level`` and the
+        count table with a plain recount, so this shares no code with the
+        incremental updates it checks.
+        """
+        graph, colors = self.graph, self.colors
+        fresh = [0] * len(self._cnt)
+        for idx, (u, v) in enumerate(graph.edges()):
+            c = graph.color_of_index(idx)
+            if c is None or not (0 <= c < colors):
+                raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
+            fresh[u * colors + c] += 1
+            fresh[v * colors + c] += 1
+        if fresh != self._cnt:
+            raise RuntimeError("stale color-count table")
+        levels = [conflict_level(graph, v) for v in range(graph.n)]
+        for v, lvl in enumerate(levels):
+            if self._level[v] != lvl:
+                raise RuntimeError(f"stale conflict level at vertex {v}")
+        if self.total != sum(levels):
+            raise RuntimeError("stale total")
+        for lvl in set(levels) | set(self._nonempty_levels()):
+            want = {v for v, x in enumerate(levels) if x == lvl} if lvl > 0 else set()
+            if self.bucket_members(lvl) != want:
+                raise RuntimeError(f"bucket {lvl} out of sync")
 
     def _nonempty_levels(self) -> list[int]:
         return [lvl for lvl, b in self._buckets.items() if len(b) > 0]
+
+
+def _check_colors(graph: Graph, colors: int) -> None:
+    """Every edge must carry a color in [0, colors); a stray one would index
+    another vertex's slots of the count table."""
+    slots = graph._colors
+    if None in slots:
+        u, v = graph.edges()[slots.index(None)]
+        raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
+    for idx, c in enumerate(slots):
+        if not (0 <= c < colors):
+            u, v = graph.edges()[idx]
+            raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")

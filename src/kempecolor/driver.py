@@ -78,7 +78,8 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
 
     Rejects runs with fewer colors than the maximum degree (no proper
     coloring can exist).  A reported success is always re-checked by the
-    independent verifier.  Identical graph and params (including seed)
+    independent verifier; if that check fails, RuntimeError is raised
+    instead of a report.  Identical graph and params (including seed)
     give an identical report and final coloring.
     """
     if params.colors < graph.max_degree():
@@ -99,10 +100,8 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
             break
     wall = time.perf_counter() - start
     final = ConflictDictionary(graph, params.colors).total
-    if success:
-        assert final == 0 and check_edge_coloring(graph, params.colors), (
-            "success reported for an improper coloring"
-        )
+    if success and not (final == 0 and check_edge_coloring(graph, params.colors)):
+        raise RuntimeError("success reported for an improper coloring")
     return RunReport(
         success=success,
         passes=passes,

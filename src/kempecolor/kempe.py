@@ -14,6 +14,7 @@ import random
 from typing import NamedTuple
 
 from .conflicts import ConflictDictionary
+from .graph import GraphError
 
 
 class KempeStepResult(NamedTuple):
@@ -43,7 +44,10 @@ def kempe_next(
 def kempe_step(
     graph, cd: ConflictDictionary, last: int, node: int, new_color: int, rng: random.Random
 ) -> KempeStepResult:
-    """One chain advance: terminal when the conflict at node dropped or the chain ends."""
+    """One chain advance: terminal when the conflict at node dropped or the chain ends.
+
+    The validated step-by-step form of one iteration of ``kempe_process``.
+    """
     variation, old_color, next_node = kempe_next(graph, cd, last, node, new_color, rng)
     if variation < 0 or next_node is None:
         return KempeStepResult(node, None, None)
@@ -56,17 +60,32 @@ def kempe_process(
     """Run the chain from edge {start, node} to termination.
 
     Returns the number of recolorings performed (at most n: every
-    iteration consumes a vertex never seen before).
+    iteration consumes a vertex never seen before).  Each step does what
+    ``kempe_step`` does, in the same order and with the same RNG draws,
+    but walks edge ids directly instead of re-validating every edge.
     """
+    if not (0 <= new_color < cd.colors):
+        raise GraphError(f"color {new_color} outside [0, {cd.colors})")
+    idx = graph.edge_index(start, node)
+    adj = graph._adj
+    colors = graph._colors
+    recolor = cd._recolor
     visited: set[int] = set()
     last = start
-    carry: int | None = new_color
+    carry = new_color
     steps = 0
-    while carry is not None and last not in visited:
+    while True:
         visited.add(last)
-        last, node, carry = kempe_step(graph, cd, last, node, carry, rng)
+        around = adj[node]
+        candidates = [w for w, i in around.items() if w != last and colors[i] == carry]
+        next_node = rng.choice(candidates) if candidates else None
+        old_color = colors[idx]
+        variation = recolor(last, node, idx, carry)
         steps += 1
-    return steps
+        if variation < 0 or next_node is None or node in visited:
+            return steps
+        last, node, carry = node, next_node, old_color
+        idx = around[node]
 
 
 def kempe_start(
@@ -80,10 +99,12 @@ def kempe_start(
     new chain color is drawn uniformly from the colors absent at v.
     Returns the number of recolorings performed.
     """
+    graph._check_vertex(v)
+    colors = graph._colors
     seen: set[int] = set()
     repeated: list[int] = []
-    for w in graph.neighbors(v):
-        c = graph.edge_color(v, w)
+    for w, idx in graph._adj[v].items():
+        c = colors[idx]
         if c in seen:
             repeated.append(w)
         else:
@@ -91,7 +112,10 @@ def kempe_start(
     if not repeated:
         return 0
     available = [c for c in range(num_colors) if c not in seen]
-    assert available, "conflicting vertex with degree <= D must have a free color"
+    if not available:
+        raise GraphError(
+            f"vertex {v} has degree {graph.degree(v)} > {num_colors} colors: no free color"
+        )
     node = rng.choice(repeated)
     new_color = rng.choice(available)
     return kempe_process(graph, cd, v, node, new_color, rng)

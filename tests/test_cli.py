@@ -159,3 +159,15 @@ def test_bench_invalid_cell_is_usage_error(tmp_path):
          "--csv", str(tmp_path / "x.csv")]
     )
     assert status == 2
+
+
+@pytest.mark.parametrize("flag", [["-R", "-1"], ["-L", "0"]])
+def test_bench_bad_limit_is_usage_error(tmp_path, capsys, flag):
+    status = main(
+        ["bench", "--degrees", "3", "--sizes", "4", "--instances", "1", *flag,
+         "--csv", str(tmp_path / "x.csv")]
+    )
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()

@@ -183,3 +183,37 @@ def test_level_range_bound():
         cd = ConflictDictionary(g, colors)
         for v in range(g.n):
             assert 0 <= cd.level(v) <= max(g.degree(v) - 1, 0)
+
+
+@pytest.mark.parametrize("bad", [None, -1, 3])
+def test_dictionary_rejects_uncolored_or_out_of_range_edge(bad):
+    # -1 or D would index a neighbouring vertex's slots of the count table
+    g = colored_triangle((0, 1, 2))
+    g.set_edge_color(1, 2, bad)
+    with pytest.raises(GraphError):
+        ConflictDictionary(g, 3)
+
+
+def test_check_consistency_raises_on_untracked_write():
+    # a raw write bypasses the dictionary, so its counts and levels go stale
+    g = colored_triangle((0, 1, 2))
+    cd = ConflictDictionary(g, 3)
+    g.set_edge_color(0, 1, 2)
+    with pytest.raises(RuntimeError):
+        cd.check_consistency()
+
+
+def test_check_consistency_raises_on_stale_level():
+    g = star([0, 0, 1])
+    cd = ConflictDictionary(g, 3)
+    cd._level[0] = 0
+    with pytest.raises(RuntimeError, match="level"):
+        cd.check_consistency()
+
+
+def test_check_consistency_raises_on_stale_bucket():
+    g = star([0, 0, 1])
+    cd = ConflictDictionary(g, 3)
+    cd._buckets[1].add(1)
+    with pytest.raises(RuntimeError, match="bucket"):
+        cd.check_consistency()

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kempecolor
 from kempecolor import (
     HeuristicParams,
     ParameterError,
@@ -103,3 +108,27 @@ def test_param_validation():
         HeuristicParams(colors=3, iteration_limit=0)
     with pytest.raises(ParameterError):
         HeuristicParams(colors=3, precolor_mode="fancy")
+
+
+def test_success_recheck_holds_under_optimize():
+    # with heuristic_pass stubbed to claim success, a triangle with 2 colors
+    # must raise, not report success, even when python -O strips asserts
+    script = (
+        "import kempecolor.driver as d\n"
+        "from kempecolor import Graph, HeuristicParams\n"
+        "d.heuristic_pass = lambda *args: True\n"
+        "g = Graph(3, [(0, 1), (1, 2), (2, 0)])\n"
+        "try:\n"
+        "    report = d.apply_heuristic(g, HeuristicParams(colors=2, seed=0))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('reported:', report.success, report.final_conflictivity)\n"
+    )
+    src = str(Path(kempecolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert out == "raised: success reported for an improper coloring\n"

@@ -2,9 +2,12 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from kempecolor import (
     ConflictDictionary,
     Graph,
+    GraphError,
     kempe_next,
     kempe_process,
     kempe_start,
@@ -200,3 +203,93 @@ def test_kempe_start_never_increases_conflictivity():
         assert g.is_fully_colored()
         cd.check_consistency()
         runs += 1
+
+
+def reference_process(graph, cd, start, node, new_color, rng):
+    """The step-by-step chain: kempe_step until terminal or a revisit."""
+    visited = set()
+    last, carry, steps = start, new_color, 0
+    while carry is not None and last not in visited:
+        visited.add(last)
+        last, node, carry = kempe_step(graph, cd, last, node, carry, rng)
+        steps += 1
+    return steps
+
+
+def reference_start(graph, cd, num_colors, v, rng):
+    """kempe_start through the validated public graph API only."""
+    seen, repeated = set(), []
+    for w in graph.neighbors(v):
+        c = graph.edge_color(v, w)
+        if c in seen:
+            repeated.append(w)
+        else:
+            seen.add(c)
+    if not repeated:
+        return 0
+    node = rng.choice(repeated)
+    new_color = rng.choice([c for c in range(num_colors) if c not in seen])
+    return reference_process(graph, cd, v, node, new_color, rng)
+
+
+def copy_colored(graph):
+    twin = Graph(graph.n, graph.edges())
+    for u, v in graph.edges():
+        twin.set_edge_color(u, v, graph.edge_color(u, v))
+    return twin
+
+
+def dictionary_state(graph, cd):
+    """Colors, levels, and every nonempty bucket in its internal order."""
+    buckets = {lvl: list(b) for lvl, b in cd._buckets.items() if len(b)}
+    return (
+        [graph.edge_color(u, v) for u, v in graph.edges()],
+        [cd.level(v) for v in range(graph.n)],
+        cd.total,
+        buckets,
+    )
+
+
+def test_fast_chain_matches_step_by_step_reference():
+    rng = random.Random(8080)
+    for trial in range(400):
+        g = random_simple_graph(rng, max_n=14)
+        colors = max(2, g.max_degree()) + rng.randrange(2)
+        random_precolor(g, colors, rng)
+        twin = copy_colored(g)
+        cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
+        seed = rng.getrandbits(32)
+        fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            if trial % 2 and cd.total > 0:
+                v = cd.sample_max_level(fast_rng)
+                assert v == cd_twin.sample_max_level(ref_rng)
+                steps = kempe_start(g, cd, colors, v, fast_rng)
+                ref_steps = reference_start(twin, cd_twin, colors, v, ref_rng)
+            else:
+                u, v = rng.choice(g.edges())
+                c = rng.randrange(colors)
+                steps = kempe_process(g, cd, u, v, c, fast_rng)
+                ref_steps = reference_process(twin, cd_twin, u, v, c, ref_rng)
+            assert steps == ref_steps
+            assert fast_rng.getstate() == ref_rng.getstate()
+            assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
+        cd.check_consistency()
+
+
+def test_kempe_process_rejects_color_out_of_range():
+    g = path_graph([0, 1])
+    cd = ConflictDictionary(g, 3)
+    with pytest.raises(GraphError):
+        kempe_process(g, cd, 0, 1, 3, random.Random(0))
+    assert [g.edge_color(u, v) for u, v in g.edges()] == [0, 1]
+
+
+def test_kempe_start_without_free_color_raises():
+    # degree 3 with only 2 colors: v conflicts but no color is absent at it
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for (u, v), c in zip(g.edges(), [0, 0, 1]):
+        g.set_edge_color(u, v, c)
+    cd = ConflictDictionary(g, 2)
+    with pytest.raises(GraphError, match="no free color"):
+        kempe_start(g, cd, 2, 0, random.Random(0))
