@@ -67,10 +67,14 @@ class ConflictDictionary:
     def __init__(self, graph: Graph, colors: int):
         self.graph = graph
         self.colors = colors
-        _check_colors(graph, colors)
         cnt = [0] * (graph.n * colors)
         level = [0] * graph.n
         for (u, v), c in zip(graph.edges(), graph._colors):
+            # a stray color would index another vertex's slots of the table
+            if c is None:
+                raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
+            if not (0 <= c < colors):
+                raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
             for x in (u, v):
                 k = x * colors + c
                 if cnt[k]:
@@ -165,9 +169,8 @@ class ConflictDictionary:
         if fresh != self._cnt:
             raise RuntimeError("stale color-count table")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
-        for v, lvl in enumerate(levels):
-            if self._level[v] != lvl:
-                raise RuntimeError(f"stale conflict level at vertex {v}")
+        if self._level != levels:
+            raise RuntimeError("stale conflict levels")
         if self.total != sum(levels):
             raise RuntimeError("stale total")
         for lvl in set(levels) | set(self._nonempty_levels()):
@@ -178,15 +181,3 @@ class ConflictDictionary:
     def _nonempty_levels(self) -> list[int]:
         return [lvl for lvl, b in self._buckets.items() if len(b) > 0]
 
-
-def _check_colors(graph: Graph, colors: int) -> None:
-    """Every edge must carry a color in [0, colors); a stray one would index
-    another vertex's slots of the count table."""
-    slots = graph._colors
-    if None in slots:
-        u, v = graph.edges()[slots.index(None)]
-        raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
-    for idx, c in enumerate(slots):
-        if not (0 <= c < colors):
-            u, v = graph.edges()[idx]
-            raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
