@@ -75,11 +75,14 @@ class ConflictDictionary:
                 raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
-            for x in (u, v):
-                k = x * colors + c
-                if cnt[k]:
-                    level[x] += 1
-                cnt[k] += 1
+            k = u * colors + c
+            if cnt[k]:
+                level[u] += 1
+            cnt[k] += 1
+            k = v * colors + c
+            if cnt[k]:
+                level[v] += 1
+            cnt[k] += 1
         self._cnt = cnt
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
