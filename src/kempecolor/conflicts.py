@@ -116,14 +116,13 @@ class ConflictDictionary:
     def color_edge(self, u: int, v: int, color: int) -> int:
         """Recolor edge {u, v} and update both endpoints.
 
-        Returns the conflict-level change at v, the second endpoint.
+        Returns the conflict-level change at v, the second endpoint.  The
+        validated single-edge form of the update that ``kempe_process``
+        applies inline along a chain.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
-        return self._recolor(u, v, self.graph.edge_index(u, v), color)
-
-    def _recolor(self, u: int, v: int, idx: int, color: int) -> int:
-        """color_edge without validation: idx must be edge {u, v}, color in range."""
+        idx = self.graph.edge_index(u, v)
         colors = self.graph._colors
         old = colors[idx]
         if old == color:

@@ -61,30 +61,96 @@ def kempe_process(
 
     Returns the number of recolorings performed (at most n: every
     iteration consumes a vertex never seen before).  Each step does what
-    ``kempe_step`` does, in the same order and with the same RNG draws,
-    but walks edge ids directly instead of re-validating every edge.
+    ``kempe_step`` does, with the same RNG draws and the same net bucket
+    operations, but updates the count table, levels and buckets inline.
+    The draw is ``rng.choice`` spelled out with ``getrandbits``.
+    ``node``'s bucket move waits for the next step, which updates it
+    again as ``last``: no other bucket operation runs in between, and a
+    ``_RandomSet`` ``add`` then ``remove`` of one member is the identity,
+    so levels a -> b -> c need only ``remove`` from a and ``add`` to c,
+    even when a == c (which moves it to the end of its bucket).
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
     adj = graph._adj
     colors = graph._colors
-    recolor = cd._recolor
+    cnt, level, buckets = cd._cnt, cd._level, cd._buckets
+    width = cd.colors
+    getrandbits = rng.getrandbits
     visited: set[int] = set()
     last = start
     carry = new_color
+    # last sits in bucket `home`; `moved` says its level changed since then
+    home = level[start]
+    moved = False
+    total = 0
     steps = 0
     while True:
         visited.add(last)
         around = adj[node]
-        candidates = [w for w, i in around.items() if w != last and colors[i] == carry]
-        next_node = rng.choice(candidates) if candidates else None
-        old_color = colors[idx]
-        variation = recolor(last, node, idx, carry)
+        # the continuation: a list is built only for a second candidate
+        nxt = many = None
+        for w, i in around.items():
+            if w != last and colors[i] == carry:
+                if nxt is None:
+                    nxt = w
+                elif many is None:
+                    many = [nxt, w]
+                else:
+                    many.append(w)
+        if many is not None:
+            n = len(many)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            nxt = many[r]
+        elif nxt is not None:
+            while getrandbits(1):
+                pass
+        old = colors[idx]
         steps += 1
-        if variation < 0 or next_node is None or node in visited:
+        variation = 0
+        node_home = level[node]
+        if old != carry:
+            colors[idx] = carry
+            # k is an endpoint's slot for the new color, k + shift for the
+            # old one; read before the move: the new color adds a repeat if
+            # already present, the old one loses a repeat if it was repeated
+            shift = old - carry
+            k = last * width + carry
+            delta = (cnt[k] > 0) - (cnt[k + shift] > 1)
+            cnt[k] += 1
+            cnt[k + shift] -= 1
+            if delta:
+                level[last] += delta
+                total += delta
+                moved = True
+            k = node * width + carry
+            variation = (cnt[k] > 0) - (cnt[k + shift] > 1)
+            cnt[k] += 1
+            cnt[k + shift] -= 1
+            if variation:
+                level[node] = node_home + variation
+                total += variation
+        if moved:
+            if home > 0:
+                buckets[home].remove(last)
+            lvl = level[last]
+            if lvl > 0:
+                buckets[lvl].add(last)
+        if variation < 0 or nxt is None or node in visited:
+            if variation:
+                if node_home > 0:
+                    buckets[node_home].remove(node)
+                lvl = node_home + variation
+                if lvl > 0:
+                    buckets[lvl].add(node)
+            cd.total += total
             return steps
-        last, node, carry = node, next_node, old_color
+        last, node, carry = node, nxt, old
+        home, moved = node_home, variation != 0
         idx = around[node]
 
 

@@ -293,3 +293,91 @@ def test_kempe_start_without_free_color_raises():
     cd = ConflictDictionary(g, 2)
     with pytest.raises(GraphError, match="no free color"):
         kempe_start(g, cd, 2, 0, random.Random(0))
+
+
+def colored(n, colored_edges):
+    g = Graph(n, [e for e, _ in colored_edges])
+    for (u, v), c in colored_edges:
+        g.set_edge_color(u, v, c)
+    return g
+
+
+def run_against_reference(g, colors, start, node, new_color, seed):
+    """kempe_process on g and the kempe_step loop on a copy; states must agree."""
+    twin = copy_colored(g)
+    cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    steps = kempe_process(g, cd, start, node, new_color, fast_rng)
+    assert steps == reference_process(twin, cd_twin, start, node, new_color, ref_rng)
+    assert fast_rng.getstate() == ref_rng.getstate()
+    assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
+    cd.check_consistency()
+    return steps, cd
+
+
+def test_interior_vertex_back_at_its_level_moves_to_bucket_end():
+    # vertex 1 starts at level 1 (two 2-edges); the chain 0-1-2 raises it to
+    # level 2 and drops it back to 1, so it must leave bucket 1 and rejoin it
+    # behind vertices 5 and 8, which sit at level 1 throughout
+    g = colored(11, [
+        ((0, 1), 0), ((1, 2), 1), ((1, 3), 2), ((1, 4), 2),
+        ((5, 6), 0), ((5, 7), 0), ((8, 9), 1), ((8, 10), 1),
+    ])
+    before = ConflictDictionary(copy_colored(g), 3)
+    assert list(before._buckets[1]) == [1, 5, 8]
+    steps, cd = run_against_reference(g, 3, 0, 1, 1, seed=0)
+    assert steps == 2
+    assert cd.level(1) == 1
+    assert list(cd._buckets[1]) == [8, 5, 1]
+
+
+def test_no_op_first_write_keeps_walking():
+    # new color == the edge's color: every write is a no-op, but the walk
+    # still follows the 0-edge from 1 to 2 and stops at 2, with no 0-edge on
+    g = path_graph([0, 0, 1])
+    steps, cd = run_against_reference(g, 3, 0, 1, 0, seed=0)
+    assert steps == 2
+    assert [g.edge_color(u, v) for u, v in g.edges()] == [0, 0, 1]
+    assert list(cd._buckets[1]) == [1]
+
+
+def test_chain_closing_on_its_start_vertex():
+    # an alternating 0/1 six-cycle plus a pendant 1-edge at 0: the chain
+    # swaps the whole cycle and ends back at vertex 0
+    n = 6
+    g = colored(n + 1, [((i, (i + 1) % n), i % 2) for i in range(n)] + [((0, n), 1)])
+    steps, cd = run_against_reference(g, 3, 0, 1, 1, seed=0)
+    assert steps == n
+    assert [g.edge_color(i, (i + 1) % n) for i in range(n)] == [(i + 1) % 2 for i in range(n)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
+def test_chain_draws_match_reference_for_candidate_counts(width):
+    # start 0 -> hub 1, which has `width` 1-edges to vertices y; each y has
+    # `width` 0-edges to leaves; so the chain makes two draws of that width
+    for seed in range(20):
+        edges = [((0, 1), 0)]
+        nxt = 2
+        for _ in range(width):
+            y, nxt = nxt, nxt + 1
+            edges.append(((1, y), 1))
+            for _ in range(width):
+                edges.append(((y, nxt), 0))
+                nxt += 1
+        g = colored(nxt, edges)
+        steps, _ = run_against_reference(g, 2, 0, 1, 1, seed)
+        assert steps == 3
+
+
+def test_inlined_draw_matches_random_choice():
+    # the chain loop draws with getrandbits instead of rng.choice; it must
+    # pick the same candidate and leave the generator in the same state
+    for n in range(1, 65):
+        for seed in range(8):
+            g = colored(n + 2, [((0, 1), 0)] + [((1, y), 1) for y in range(2, n + 2)])
+            rng = random.Random(seed)
+            assert kempe_process(g, ConflictDictionary(g, 2), 0, 1, 1, rng) == 2
+            ref = random.Random(seed)
+            want = ref.choice(list(range(2, n + 2)))
+            assert [y for y in range(2, n + 2) if g.edge_color(1, y) == 0] == [want]
+            assert rng.getstate() == ref.getstate()
