@@ -30,7 +30,7 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
             graph = Graph(n, sorted(edges))
-            assert all(graph.degree(v) == d for v in range(n)), "not regular"
+            _check_regular(graph, d)
             return graph
     raise GraphError(f"could not realize a simple {d}-regular graph on {n} vertices")
 
@@ -82,5 +82,11 @@ def odd_graph(k: int) -> Graph:
         if masks[i] & masks[j] == 0
     ]
     graph = Graph(len(masks), edges)
-    assert all(graph.degree(v) == k for v in range(graph.n)), "odd graph not k-regular"
+    _check_regular(graph, k)
     return graph
+
+
+def _check_regular(graph: Graph, d: int) -> None:
+    # degrees summing to n*d with none above d are all exactly d
+    if 2 * graph.m != graph.n * d or graph.max_degree() > d:
+        raise GraphError(f"generated graph is not {d}-regular")

@@ -113,6 +113,12 @@ class ParseError(ValueError):
     """Malformed edge-list or coloring text."""
 
 
+# Largest vertex count an edge-list header may declare.  ``Graph`` allocates
+# one adjacency dict per vertex (about 64 bytes each) before reading any
+# edge, so an unchecked header could ask for any amount of memory.
+MAX_VERTICES = 10**6
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: line 1 is `n m`, then m lines `u v`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -125,6 +131,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(f"header must be two integers, got {lines[0]!r}") from None
+    if n > MAX_VERTICES:
+        raise ParseError(f"header declares {n} vertices, more than the cap of {MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -142,9 +150,16 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
-def read_edge_list(path: str) -> Graph:
+def _read_ascii(path: str) -> str:
     with open(path, encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
+def read_edge_list(path: str) -> Graph:
+    return parse_edge_list(_read_ascii(path))
 
 
 def format_coloring(graph: Graph) -> str:
@@ -180,5 +195,4 @@ def parse_coloring(text: str) -> list[tuple[int, int, int]]:
 
 
 def read_coloring(path: str) -> list[tuple[int, int, int]]:
-    with open(path, encoding="ascii") as fh:
-        return parse_coloring(fh.read())
+    return parse_coloring(_read_ascii(path))

@@ -35,7 +35,8 @@ def brute_force_chromatic_index(graph: Graph, max_edges: int = 16) -> int:
     delta = graph.max_degree()
     if _edge_colorable(graph, delta):
         return delta
-    assert _edge_colorable(graph, delta + 1), "simple graph exceeded max degree + 1"
+    if not _edge_colorable(graph, delta + 1):
+        raise RuntimeError("simple graph exceeded max degree + 1")
     return delta + 1
 
 

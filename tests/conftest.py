@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kempecolor
 from kempecolor import Graph, odd_graph
 
 PETERSEN_EDGES = [
@@ -27,3 +33,18 @@ def petersen():
 @pytest.fixture
 def petersen_standard():
     return Graph(10, PETERSEN_EDGES)
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a script under ``python -O`` (asserts stripped); return its stdout."""
+    src = str(Path(kempecolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(script: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+
+    return run

@@ -57,6 +57,28 @@ def test_color_missing_file(tmp_path):
     assert main(["color", str(tmp_path / "absent.txt")]) == 3
 
 
+def test_color_non_ascii_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 2\n0 1\n1 \xe9\n")
+    assert main(["color", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-ASCII byte at offset 10" in err
+    assert err.count("\n") == 1
+
+
+def test_color_over_cap_header_is_parse_error(tmp_path, capsys, monkeypatch):
+    import kempecolor.graph as graph_mod
+
+    def no_graph(*args):
+        raise AssertionError("Graph built for an over-cap header")
+
+    monkeypatch.setattr(graph_mod, "Graph", no_graph)
+    big = tmp_path / "big.txt"
+    big.write_text("1000000000 0\n")
+    assert main(["color", str(big)]) == 3
+    assert "more than the cap" in capsys.readouterr().err
+
+
 def test_verify_valid_coloring(k4_file, tmp_path):
     out = tmp_path / "coloring.txt"
     assert main(["color", k4_file, "-D", "3", "--seed", "0", "-o", str(out)]) == 0
@@ -94,6 +116,15 @@ def test_verify_parse_error(k4_file, tmp_path):
     col = tmp_path / "bad.txt"
     col.write_text("0 1\n")
     assert main(["verify", k4_file, str(col), "-D", "3"]) == 3
+
+
+def test_verify_non_ascii_coloring_is_parse_error(k4_file, tmp_path, capsys):
+    col = tmp_path / "bad.txt"
+    col.write_bytes(b"0 1 0\n0 2 \xff\n")
+    assert main(["verify", k4_file, str(col), "-D", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-ASCII byte at offset 10" in err
+    assert err.count("\n") == 1
 
 
 def test_oddgraph_petersen_fails(capsys):

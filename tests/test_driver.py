@@ -1,12 +1,7 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import kempecolor
 from kempecolor import (
     HeuristicParams,
     ParameterError,
@@ -110,7 +105,7 @@ def test_param_validation():
         HeuristicParams(colors=3, precolor_mode="fancy")
 
 
-def test_success_recheck_holds_under_optimize():
+def test_success_recheck_holds_under_optimize(run_optimized):
     # with heuristic_pass stubbed to claim success, a triangle with 2 colors
     # must raise, not report success, even when python -O strips asserts
     script = (
@@ -125,10 +120,4 @@ def test_success_recheck_holds_under_optimize():
         "else:\n"
         "    print('reported:', report.success, report.final_conflictivity)\n"
     )
-    src = str(Path(kempecolor.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    ).stdout
-    assert out == "raised: success reported for an improper coloring\n"
+    assert run_optimized(script) == "raised: success reported for an improper coloring\n"

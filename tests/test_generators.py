@@ -94,3 +94,29 @@ def test_odd_graph_vertex_order_is_stable():
     g1 = odd_graph(3)
     g2 = odd_graph(3)
     assert g1.edges() == g2.edges()
+
+
+def test_regularity_check_holds_under_optimize(run_optimized):
+    # a pairing that leaves vertices 2 and 3 bare must raise, not return an
+    # irregular graph, even when python -O strips asserts
+    script = (
+        "import random\n"
+        "import kempecolor.generators as gen\n"
+        "gen._pairing_attempt = lambda n, d, rng: {(0, 1)}\n"
+        "try:\n"
+        "    g = gen.random_regular_graph(4, 1, random.Random(0))\n"
+        "except gen.GraphError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('returned:', g.edges())\n"
+    )
+    assert run_optimized(script) == "raised: generated graph is not 1-regular\n"
+
+
+def test_regularity_check_rejects_degree_above_d(monkeypatch):
+    # the sum of degrees is right (2 edges, n*d = 4) but vertex 0 has degree 2
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "_pairing_attempt", lambda n, d, rng: {(0, 1), (0, 2)})
+    with pytest.raises(GraphError, match="not 1-regular"):
+        random_regular_graph(4, 1, random.Random(0))

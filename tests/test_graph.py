@@ -151,6 +151,27 @@ def test_parse_errors(text):
         parse_edge_list(text)
 
 
+def test_vertex_cap_is_inclusive(monkeypatch):
+    import kempecolor.graph as graph_mod
+
+    monkeypatch.setattr(graph_mod, "MAX_VERTICES", 5)
+    assert parse_edge_list("5 1\n0 4\n").n == 5
+    with pytest.raises(ParseError, match="cap of 5"):
+        parse_edge_list("6 1\n0 5\n")
+
+
+def test_vertex_cap_checked_before_allocating(monkeypatch):
+    # the header alone must be rejected: Graph would allocate n dicts
+    import kempecolor.graph as graph_mod
+
+    def no_graph(*args):
+        raise AssertionError("Graph built for an over-cap header")
+
+    monkeypatch.setattr(graph_mod, "Graph", no_graph)
+    with pytest.raises(ParseError, match="1000000000 vertices"):
+        parse_edge_list("1000000000 0\n")
+
+
 def test_coloring_format_round_trip(triangle):
     for i, (u, v) in enumerate(triangle.edges()):
         triangle.set_edge_color(u, v, i)

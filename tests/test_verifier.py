@@ -99,3 +99,11 @@ def test_vizing_sandwich_on_small_graphs():
         g = Graph(n, rng.sample(possible, rng.randrange(1, min(len(possible), 12) + 1)))
         delta = g.max_degree()
         assert delta <= brute_force_chromatic_index(g) <= delta + 1
+
+
+def test_brute_force_raises_if_delta_plus_one_fails(triangle, monkeypatch):
+    import kempecolor.verifier as verifier
+
+    monkeypatch.setattr(verifier, "_edge_colorable", lambda graph, num_colors: False)
+    with pytest.raises(RuntimeError, match="max degree \\+ 1"):
+        brute_force_chromatic_index(triangle)
