@@ -23,7 +23,12 @@ def conflict_level(graph: Graph, v: int) -> int:
 
 
 class _RandomSet:
-    """Set with O(1) insert/remove and uniform member sampling."""
+    """Set with O(1) insert/remove and uniform member sampling.
+
+    ``add(x)`` then ``remove(x)`` leaves it exactly as it was (x is appended,
+    then popped from the end); ``kempe_process`` relies on that to skip a
+    chain vertex's intermediate bucket moves.
+    """
 
     __slots__ = ("_items", "_pos")
 

@@ -66,19 +66,6 @@ def test_color_non_ascii_file_is_parse_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_color_over_cap_header_is_parse_error(tmp_path, capsys, monkeypatch):
-    import kempecolor.graph as graph_mod
-
-    def no_graph(*args):
-        raise AssertionError("Graph built for an over-cap header")
-
-    monkeypatch.setattr(graph_mod, "Graph", no_graph)
-    big = tmp_path / "big.txt"
-    big.write_text("1000000000 0\n")
-    assert main(["color", str(big)]) == 3
-    assert "more than the cap" in capsys.readouterr().err
-
-
 def test_verify_valid_coloring(k4_file, tmp_path):
     out = tmp_path / "coloring.txt"
     assert main(["color", k4_file, "-D", "3", "--seed", "0", "-o", str(out)]) == 0
