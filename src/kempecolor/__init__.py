@@ -1,6 +1,6 @@
 """Edge-coloring of simple graphs by Kempe-chain conflict displacement."""
 
-from .bench import BenchRecord, instance_seed, run_instance, run_sweep, summarize, write_csv
+from .bench import instance_seed
 from .conflicts import ConflictDictionary, conflict_level
 from .driver import HeuristicParams, ParameterError, RunReport, apply_heuristic, heuristic_pass
 from .generators import odd_graph, random_regular_graph
@@ -12,23 +12,18 @@ from .graph import (
     format_coloring,
     parse_coloring,
     parse_edge_list,
-    read_coloring,
-    read_edge_list,
-    write_coloring,
 )
-from .kempe import KempeStepResult, kempe_next, kempe_process, kempe_start, kempe_step
+from .kempe import kempe_process, kempe_start
 from .precolor import greedy_precolor, random_precolor
 from .verifier import brute_force_chromatic_index, check_edge_coloring, properly_colored
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "ConflictDictionary",
     "Graph",
     "GraphError",
     "HeuristicParams",
-    "KempeStepResult",
     "ParameterError",
     "ParseError",
     "RunReport",
@@ -41,21 +36,12 @@ __all__ = [
     "greedy_precolor",
     "heuristic_pass",
     "instance_seed",
-    "kempe_next",
     "kempe_process",
     "kempe_start",
-    "kempe_step",
     "odd_graph",
     "parse_coloring",
     "parse_edge_list",
     "properly_colored",
     "random_precolor",
     "random_regular_graph",
-    "read_coloring",
-    "read_edge_list",
-    "run_instance",
-    "run_sweep",
-    "summarize",
-    "write_csv",
-    "write_coloring",
 ]

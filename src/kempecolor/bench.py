@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .driver import HeuristicParams, RunReport, apply_heuristic
 from .generators import random_regular_graph
@@ -51,26 +51,18 @@ def instance_seed(base_seed: int, d: int, n: int, instance: int) -> int:
 
 
 def run_instance(
-    d: int,
-    n: int,
-    instance: int,
-    base_seed: int,
-    repetition_limit: int = 50,
-    iteration_limit: int = 50,
-    precolor_mode: str = "greedy",
+    d: int, n: int, instance: int, base_seed: int, params: HeuristicParams
 ) -> BenchRecord:
+    """Color one random d-regular graph on n vertices with d colors.
+
+    ``params`` gives the limits and the pre-coloring mode; its colors and
+    seed are replaced by d and the instance's own seed.
+    """
     seed = instance_seed(base_seed, d, n, instance)
     rng = random.Random(seed)
     graph = random_regular_graph(n, d, rng)
-    params = HeuristicParams(
-        colors=d,
-        repetition_limit=repetition_limit,
-        iteration_limit=iteration_limit,
-        seed=seed,
-        precolor_mode=precolor_mode,
-    )
     # wall time covers the coloring run only, not generation or I/O
-    report: RunReport = apply_heuristic(graph, params)
+    report: RunReport = apply_heuristic(graph, replace(params, colors=d, seed=seed))
     return BenchRecord(
         d=d,
         n=n,
@@ -87,20 +79,19 @@ def run_sweep(
     sizes: list[int],
     instances: int,
     base_seed: int,
-    repetition_limit: int = 50,
-    iteration_limit: int = 50,
-    precolor_mode: str = "greedy",
+    params: HeuristicParams | None = None,
 ) -> list[BenchRecord]:
+    """Run every (degree, size, instance); ``params`` as in ``run_instance``.
+
+    Without ``params`` every run uses the ``HeuristicParams`` defaults.
+    """
+    if params is None:
+        params = HeuristicParams(colors=0)
     records = []
     for d in sorted(degrees):
         for n in sorted(sizes):
             for i in range(instances):
-                records.append(
-                    run_instance(
-                        d, n, i, base_seed,
-                        repetition_limit, iteration_limit, precolor_mode,
-                    )
-                )
+                records.append(run_instance(d, n, i, base_seed, params))
     records.sort(key=lambda r: (r.d, r.n, r.instance))
     return records
 

@@ -21,12 +21,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _common_flags(p: argparse.ArgumentParser, with_precolor: bool = True) -> None:
-    p.add_argument("-R", "--repetition-limit", type=int, default=50)
-    p.add_argument("-L", "--iteration-limit", type=int, default=50)
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-R", "--repetition-limit", type=int,
+                   default=HeuristicParams.repetition_limit)
+    p.add_argument("-L", "--iteration-limit", type=int,
+                   default=HeuristicParams.iteration_limit)
     p.add_argument("--seed", type=int, default=None)
-    if with_precolor:
-        p.add_argument("--precolor", choices=("greedy", "random"), default="greedy")
+    p.add_argument("--precolor", choices=("greedy", "random"),
+                   default=HeuristicParams.precolor_mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,15 +66,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(graph: Graph, args, colors: int):
-    params = HeuristicParams(
+def _params(args, colors: int) -> HeuristicParams:
+    return HeuristicParams(
         colors=colors,
         repetition_limit=args.repetition_limit,
         iteration_limit=args.iteration_limit,
         seed=args.seed,
         precolor_mode=args.precolor,
     )
-    return apply_heuristic(graph, params)
+
+
+def _run_and_report(graph: Graph, args, colors: int, *header: str) -> int:
+    """Run the heuristic, print the header lines and the report; return the exit status."""
+    try:
+        report = apply_heuristic(graph, _params(args, colors))
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for line in header:
+        print(line)
+    print(f"vertices: {graph.n}")
+    print(f"edges: {graph.m}")
+    print(f"colors: {colors}")
+    print(f"seed: {report.seed}")
+    print(f"success: {str(report.success).lower()}")
+    print(f"passes: {report.passes}")
+    print(f"wall_time_s: {report.wall_time:.6f}")
+    print(f"final_conflictivity: {report.final_conflictivity}")
+    return EXIT_OK if report.success else EXIT_HEURISTIC_FAILURE
 
 
 def cmd_color(args) -> int:
@@ -82,28 +103,14 @@ def cmd_color(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     colors = args.colors if args.colors is not None else graph.max_degree()
-    try:
-        report = _run(graph, args, colors)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"vertices: {graph.n}")
-    print(f"edges: {graph.m}")
-    print(f"colors: {colors}")
-    print(f"seed: {report.seed}")
-    print(f"success: {str(report.success).lower()}")
-    print(f"passes: {report.passes}")
-    print(f"wall_time_s: {report.wall_time:.6f}")
-    print(f"final_conflictivity: {report.final_conflictivity}")
-    if not report.success:
-        return EXIT_HEURISTIC_FAILURE
-    if args.output:
+    status = _run_and_report(graph, args, colors)
+    if status == EXIT_OK and args.output:
         try:
             write_coloring(graph, args.output)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-    return EXIT_OK
+    return status
 
 
 def cmd_bench(args) -> int:
@@ -116,10 +123,9 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     seed = args.seed if args.seed is not None else 0
     try:
-        records = run_sweep(
-            degrees, sizes, args.instances, seed,
-            args.repetition_limit, args.iteration_limit, args.precolor,
-        )
+        # each instance sets its own colors and seed
+        params = _params(args, colors=0)
+        records = run_sweep(degrees, sizes, args.instances, seed, params)
     except (GraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -139,19 +145,7 @@ def cmd_oddgraph(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     colors = args.colors if args.colors is not None else args.k
-    try:
-        report = _run(graph, args, colors)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"k: {args.k}")
-    print(f"vertices: {graph.n}")
-    print(f"edges: {graph.m}")
-    print(f"colors: {colors}")
-    print(f"success: {str(report.success).lower()}")
-    print(f"passes: {report.passes}")
-    print(f"wall_time_s: {report.wall_time:.6f}")
-    return EXIT_OK if report.success else EXIT_HEURISTIC_FAILURE
+    return _run_and_report(graph, args, colors, f"k: {args.k}")
 
 
 def cmd_verify(args) -> int:
@@ -172,7 +166,7 @@ def cmd_verify(args) -> int:
             print(f"error: edge ({u}, {v}) colored twice", file=sys.stderr)
             return EXIT_USAGE
         seen.add(idx)
-        graph.set_edge_color(u, v, c)
+        graph.colors[idx] = c
     if len(seen) != graph.m:
         print(f"error: coloring covers {len(seen)} of {graph.m} edges",
               file=sys.stderr)

@@ -74,7 +74,7 @@ class ConflictDictionary:
         self.colors = colors
         cnt = [0] * (graph.n * colors)
         level = [0] * graph.n
-        for (u, v), c in zip(graph.edges(), graph._colors):
+        for (u, v), c in zip(graph.edges(), graph.colors):
             # a stray color would index another vertex's slots of the table
             if c is None:
                 raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
@@ -128,7 +128,7 @@ class ConflictDictionary:
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
         idx = self.graph.edge_index(u, v)
-        colors = self.graph._colors
+        colors = self.graph.colors
         old = colors[idx]
         if old == color:
             return 0
@@ -153,10 +153,6 @@ class ConflictDictionary:
                 level[x] = lvl
                 self.total += delta
         return delta
-
-    def recomputed_total(self) -> int:
-        """From-scratch conflictivity; must always equal the cached total."""
-        return sum(conflict_level(self.graph, v) for v in range(self.graph.n))
 
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.

@@ -20,13 +20,27 @@ class UncoloredEdgeError(GraphError):
 
 
 class Graph:
+    """A simple graph on vertices 0..n-1 with one color slot per edge.
+
+    Edge ids are 0..m-1 in insertion order.  Two public lists form a flat
+    view that the search reads and writes directly, skipping validation:
+
+    - ``adj[v]`` maps each neighbour of v to the id of their edge, in
+      insertion order;
+    - ``colors[id]`` is that edge's color, or ``None`` if uncolored.
+
+    A write through ``colors`` bypasses conflict tracking, as
+    ``set_edge_color`` does.  Both lists live as long as the graph:
+    ``clear_colors`` resets ``colors`` to ``None`` in place.
+    """
+
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self._adj: list[dict[int, int]] = [{} for _ in range(n)]
+        self.adj: list[dict[int, int]] = [{} for _ in range(n)]
         self._edges: list[tuple[int, int]] = []
-        self._colors: list[int | None] = []
+        self.colors: list[int | None] = []
         for u, v in edges:
             self._add_edge(u, v)
 
@@ -35,13 +49,13 @@ class Graph:
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-        if v in self._adj[u]:
+        if v in self.adj[u]:
             raise GraphError(f"duplicate edge ({u}, {v})")
         idx = len(self._edges)
         self._edges.append((min(u, v), max(u, v)))
-        self._colors.append(None)
-        self._adj[u][v] = idx
-        self._adj[v][u] = idx
+        self.colors.append(None)
+        self.adj[u][v] = idx
+        self.adj[v][u] = idx
 
     @property
     def m(self) -> int:
@@ -49,14 +63,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def neighbors(self, v: int) -> Iterator[int]:
         self._check_vertex(v)
-        return iter(self._adj[v])
+        return iter(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, in insertion order."""
@@ -66,29 +80,29 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         try:
-            return self._adj[u][v]
+            return self.adj[u][v]
         except KeyError:
             raise GraphError(f"edge ({u}, {v}) does not exist") from None
 
     def edge_color(self, u: int, v: int) -> int | None:
-        return self._colors[self.edge_index(u, v)]
+        return self.colors[self.edge_index(u, v)]
 
     def set_edge_color(self, u: int, v: int, color: int | None) -> None:
         """Raw color write, bypassing conflict tracking."""
-        self._colors[self.edge_index(u, v)] = color
+        self.colors[self.edge_index(u, v)] = color
 
     def color_of_index(self, idx: int) -> int | None:
-        return self._colors[idx]
+        return self.colors[idx]
 
     def clear_colors(self) -> None:
-        self._colors = [None] * len(self._colors)
+        self.colors[:] = [None] * len(self.colors)
 
     def incident_colors(self, v: int) -> list[int]:
         """Colors on the edges incident to v; raises if any is unset."""
         self._check_vertex(v)
         out = []
-        for idx in self._adj[v].values():
-            c = self._colors[idx]
+        for idx in self.adj[v].values():
+            c = self.colors[idx]
             if c is None:
                 u, w = self._edges[idx]
                 raise UncoloredEdgeError(f"edge ({u}, {w}) incident to {v} is uncolored")
@@ -99,10 +113,10 @@ class Graph:
         return len(set(self.incident_colors(v)))
 
     def is_fully_colored(self) -> bool:
-        return all(c is not None for c in self._colors)
+        return all(c is not None for c in self.colors)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return max((len(a) for a in self.adj), default=0)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -11,47 +11,9 @@ recolorings by n and catches two-colored cycles).
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .conflicts import ConflictDictionary
 from .graph import GraphError
-
-
-class KempeStepResult(NamedTuple):
-    last_vertex: int
-    next_vertex: int | None
-    carry_color: int | None
-
-
-def kempe_next(
-    graph, cd: ConflictDictionary, last: int, node: int, new_color: int, rng: random.Random
-) -> tuple[int, int, int | None]:
-    """Recolor edge {last, node} to new_color and pick the continuation.
-
-    The continuation is a uniformly random neighbor of node (other than
-    last) whose edge already carries new_color, or None if there is none.
-    Returns (conflict variation at node, old edge color, continuation).
-    """
-    adj = graph._adj[node]
-    colors = graph._colors
-    candidates = [w for w, idx in adj.items() if w != last and colors[idx] == new_color]
-    next_node = rng.choice(candidates) if candidates else None
-    old_color = graph.edge_color(last, node)
-    variation = cd.color_edge(last, node, new_color)
-    return variation, old_color, next_node
-
-
-def kempe_step(
-    graph, cd: ConflictDictionary, last: int, node: int, new_color: int, rng: random.Random
-) -> KempeStepResult:
-    """One chain advance: terminal when the conflict at node dropped or the chain ends.
-
-    The validated step-by-step form of one iteration of ``kempe_process``.
-    """
-    variation, old_color, next_node = kempe_next(graph, cd, last, node, new_color, rng)
-    if variation < 0 or next_node is None:
-        return KempeStepResult(node, None, None)
-    return KempeStepResult(node, next_node, old_color)
 
 
 def kempe_process(
@@ -59,22 +21,28 @@ def kempe_process(
 ) -> int:
     """Run the chain from edge {start, node} to termination.
 
-    Returns the number of recolorings performed (at most n: every
-    iteration consumes a vertex never seen before).  Each step does what
-    ``kempe_step`` does, with the same RNG draws and the same net bucket
-    operations, but updates the count table, levels and buckets inline.
-    The draw is ``rng.choice`` spelled out with ``getrandbits``.
-    ``node``'s bucket move waits for the next step, which updates it
-    again as ``last``: no other bucket operation runs in between, and a
-    ``_RandomSet`` ``add`` then ``remove`` of one member is the identity,
-    so levels a -> b -> c need only ``remove`` from a and ``add`` to c,
-    even when a == c (which moves it to the end of its bucket).
+    Each step recolors edge {last, node} to the carried color (first
+    ``new_color``, then the color the previous recoloring displaced) and
+    moves on to a uniform random neighbour of ``node``, other than
+    ``last``, whose edge has the carried color.  Returns the number of
+    recolorings performed (at most n: every iteration consumes a vertex
+    never seen before).
+
+    A recoloring does what ``ConflictDictionary.color_edge`` does, with the
+    same net bucket operations, but updates the count table, levels and
+    buckets inline.  The draw is ``rng.choice`` spelled out with
+    ``getrandbits``.  ``node``'s bucket move waits for the next step, which
+    updates it again as ``last``: no other bucket operation runs in
+    between, and a ``_RandomSet`` ``add`` then ``remove`` of one member is
+    the identity, so levels a -> b -> c need only ``remove`` from a and
+    ``add`` to c, even when a == c (which moves it to the end of its
+    bucket).
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
-    adj = graph._adj
-    colors = graph._colors
+    adj = graph.adj
+    colors = graph.colors
     cnt, level, buckets = cd._cnt, cd._level, cd._buckets
     width = cd.colors
     getrandbits = rng.getrandbits
@@ -165,11 +133,11 @@ def kempe_start(
     new chain color is drawn uniformly from the colors absent at v.
     Returns the number of recolorings performed.
     """
-    graph._check_vertex(v)
-    colors = graph._colors
+    deg = graph.degree(v)  # raises GraphError unless v is a vertex
+    colors = graph.colors
     seen: set[int] = set()
     repeated: list[int] = []
-    for w, idx in graph._adj[v].items():
+    for w, idx in graph.adj[v].items():
         c = colors[idx]
         if c in seen:
             repeated.append(w)
@@ -180,7 +148,7 @@ def kempe_start(
     available = [c for c in range(num_colors) if c not in seen]
     if not available:
         raise GraphError(
-            f"vertex {v} has degree {graph.degree(v)} > {num_colors} colors: no free color"
+            f"vertex {v} has degree {deg} > {num_colors} colors: no free color"
         )
     node = rng.choice(repeated)
     new_color = rng.choice(available)

@@ -15,8 +15,8 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     All previous colors are cleared first.
     """
     graph.clear_colors()
-    adj = graph._adj
-    colors = graph._colors
+    adj = graph.adj
+    colors = graph.colors
     all_colors = range(num_colors)
     for u, v in sorted(graph.edges()):
         used = {colors[idx] for idx in adj[u].values()}

@@ -188,8 +188,7 @@ def test_criterion_7_property_suites():
             u, v = rng.choice(edges)
             cd.color_edge(u, v, rng.randrange(colors))
             recolors += 1
-            assert cd.total == cd.recomputed_total()
-        cd.check_consistency()
+            cd.check_consistency()
 
     # kempe_start non-increase and recoloring bound over 10^4 invocations
     starts = 0

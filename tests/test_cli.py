@@ -117,9 +117,15 @@ def test_verify_non_ascii_coloring_is_parse_error(k4_file, tmp_path, capsys):
 def test_oddgraph_petersen_fails(capsys):
     status = main(["oddgraph", "3", "--seed", "0"])
     assert status == 1
-    stdout = capsys.readouterr().out
-    assert "vertices: 10" in stdout
-    assert "edges: 15" in stdout
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "k", "vertices", "edges", "colors", "seed", "success", "passes",
+        "wall_time_s", "final_conflictivity",
+    ]
+    assert lines[:6] == [
+        "k: 3", "vertices: 10", "edges: 15", "colors: 3", "seed: 0", "success: false",
+    ]
+    assert int(lines[-1].split(": ")[1]) > 0
 
 
 def test_oddgraph_k2_class_two_by_parity(capsys):

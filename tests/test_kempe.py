@@ -8,10 +8,8 @@ from kempecolor import (
     ConflictDictionary,
     Graph,
     GraphError,
-    kempe_next,
     kempe_process,
     kempe_start,
-    kempe_step,
     random_precolor,
 )
 
@@ -24,11 +22,46 @@ def path_graph(colors):
     return g
 
 
+def edge_colors(g):
+    return [g.edge_color(u, v) for u, v in g.edges()]
+
+
+def reference_step(graph, cd, last, node, carry, rng):
+    """One chain step through the validated public API.
+
+    Picks the continuation (a uniform random neighbor of node, other than
+    last, whose edge carries ``carry``; None if there is none), then
+    recolors edge {last, node} to ``carry``.  Returns (conflict variation
+    at node, old edge color, continuation).
+    """
+    candidates = [
+        w for w in graph.neighbors(node) if w != last and graph.edge_color(node, w) == carry
+    ]
+    nxt = rng.choice(candidates) if candidates else None
+    old = graph.edge_color(last, node)
+    variation = cd.color_edge(last, node, carry)
+    return variation, old, nxt
+
+
+def reference_process(graph, cd, start, node, new_color, rng):
+    """The step-by-step chain: reference_step until terminal or a revisit."""
+    visited = set()
+    last, carry, steps = start, new_color, 0
+    while last not in visited:
+        visited.add(last)
+        variation, old, nxt = reference_step(graph, cd, last, node, carry, rng)
+        steps += 1
+        if variation < 0 or nxt is None:
+            break
+        last, node, carry = node, nxt, old
+    return steps
+
+
 def test_kempe_next_chain_end():
     # recoloring edge (0,1) to 2: vertex 1 has no other 2-edge, so no continuation
     g = path_graph([0, 1])
     cd = ConflictDictionary(g, 3)
-    variation, old_color, nxt = kempe_next(g, cd, 0, 1, 2, random.Random(0))
+    variation, old_color, nxt = reference_step(g, cd, 0, 1, 2, random.Random(0))
     assert nxt is None
     assert old_color == 0
     assert g.edge_color(0, 1) == 2
@@ -36,15 +69,15 @@ def test_kempe_next_chain_end():
 
 def test_kempe_next_single_candidate_is_forced():
     # vertex 1 sees colors (0 incoming, 1, 2); recolor incoming to 1:
-    # the only 1-colored continuation is vertex 2
+    # the only 1-colored continuation is vertex 2, whose edge turns 0
     for seed in range(10):
         gg = Graph(4, [(0, 1), (1, 2), (1, 3)])
         gg.set_edge_color(0, 1, 0)
         gg.set_edge_color(1, 2, 1)
         gg.set_edge_color(1, 3, 2)
         cd = ConflictDictionary(gg, 3)
-        _, _, nxt = kempe_next(gg, cd, 0, 1, 1, random.Random(seed))
-        assert nxt == 2
+        assert kempe_process(gg, cd, 0, 1, 1, random.Random(seed)) == 2
+        assert edge_colors(gg) == [1, 0, 2]
 
 
 def test_kempe_next_two_candidates_split_evenly():
@@ -55,7 +88,9 @@ def test_kempe_next_two_candidates_split_evenly():
         g.set_edge_color(1, 2, 1)
         g.set_edge_color(1, 3, 1)
         cd = ConflictDictionary(g, 3)
-        _, _, nxt = kempe_next(g, cd, 0, 1, 1, random.Random(seed))
+        assert kempe_process(g, cd, 0, 1, 1, random.Random(seed)) == 2
+        # the continuation's edge is the one that took the old color 0
+        (nxt,) = [w for w in (2, 3) if g.edge_color(1, w) == 0]
         counts[nxt] += 1
     assert set(counts) == {2, 3}
     assert 130 <= counts[2] <= 270
@@ -63,15 +98,15 @@ def test_kempe_next_two_candidates_split_evenly():
 
 def test_kempe_step_terminal_on_conflict_drop():
     # vertex 1 carries (0, 0, 2): recoloring the incoming 0-edge to 1
-    # raises its distinct-color count, so its level drops and the step ends
+    # raises its distinct-color count, so its level drops and the chain ends
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
     g.set_edge_color(0, 1, 0)
     g.set_edge_color(1, 2, 0)
     g.set_edge_color(1, 3, 2)
     cd = ConflictDictionary(g, 3)
     assert cd.level(1) == 1
-    result = kempe_step(g, cd, 0, 1, 1, random.Random(0))
-    assert result == (1, None, None)
+    assert kempe_process(g, cd, 0, 1, 1, random.Random(0)) == 1
+    assert edge_colors(g) == [1, 0, 2]
     assert cd.level(1) == 0
 
 
@@ -85,24 +120,30 @@ def test_negative_variation_implies_no_continuation():
         random_precolor(g, colors, rng)
         cd = ConflictDictionary(g, colors)
         u, v = rng.choice(g.edges())
-        variation, _, nxt = kempe_next(g, cd, u, v, rng.randrange(colors), rng)
+        variation, _, nxt = reference_step(g, cd, u, v, rng.randrange(colors), rng)
         if variation < 0:
             assert nxt is None
 
 
 def test_kempe_step_continues_with_carry_color():
+    # (0,1) turns 1, so the chain goes on along the 1-edge to 2 carrying 0,
+    # turns (1,2) to 0, and goes on along the 0-edge to 3 carrying 1
     g = path_graph([0, 1, 0])
     cd = ConflictDictionary(g, 3)
-    result = kempe_step(g, cd, 0, 1, 1, random.Random(0))
-    assert result == (1, 2, 0)
-    assert g.edge_color(0, 1) == 1
+    assert kempe_process(g, cd, 0, 1, 1, random.Random(0)) == 3
+    assert edge_colors(g) == [1, 0, 1]
 
 
 def test_kempe_step_terminal_at_chain_end():
-    g = path_graph([0, 1])
+    # vertex 1 carries (0, 1, 1); turning (0,1) to 2 leaves its level at 1,
+    # but no other 2-edge leaves vertex 1, so the chain ends after one step
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    for (u, v), c in zip(g.edges(), [0, 1, 1]):
+        g.set_edge_color(u, v, c)
     cd = ConflictDictionary(g, 3)
-    result = kempe_step(g, cd, 0, 1, 2, random.Random(0))
-    assert result.next_vertex is None
+    assert kempe_process(g, cd, 0, 1, 2, random.Random(0)) == 1
+    assert edge_colors(g) == [2, 1, 1]
+    assert cd.level(1) == 1
 
 
 def test_kempe_process_single_recolor_chain():
@@ -205,17 +246,6 @@ def test_kempe_start_never_increases_conflictivity():
         runs += 1
 
 
-def reference_process(graph, cd, start, node, new_color, rng):
-    """The step-by-step chain: kempe_step until terminal or a revisit."""
-    visited = set()
-    last, carry, steps = start, new_color, 0
-    while carry is not None and last not in visited:
-        visited.add(last)
-        last, node, carry = kempe_step(graph, cd, last, node, carry, rng)
-        steps += 1
-    return steps
-
-
 def reference_start(graph, cd, num_colors, v, rng):
     """kempe_start through the validated public graph API only."""
     seen, repeated = set(), []
@@ -303,7 +333,7 @@ def colored(n, colored_edges):
 
 
 def run_against_reference(g, colors, start, node, new_color, seed):
-    """kempe_process on g and the kempe_step loop on a copy; states must agree."""
+    """kempe_process on g and the reference_step loop on a copy; states must agree."""
     twin = copy_colored(g)
     cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
     fast_rng, ref_rng = random.Random(seed), random.Random(seed)
