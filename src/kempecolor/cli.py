@@ -157,11 +157,12 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     seen = set()
     for u, v, c in triples:
-        if not graph.has_edge(u, v):
+        try:
+            idx = graph.edge_index(u, v)
+        except GraphError:
             print(f"error: coloring refers to nonexistent edge ({u}, {v})",
                   file=sys.stderr)
             return EXIT_USAGE
-        idx = graph.edge_index(u, v)
         if idx in seen:
             print(f"error: edge ({u}, {v}) colored twice", file=sys.stderr)
             return EXIT_USAGE

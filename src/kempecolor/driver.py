@@ -6,9 +6,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .conflicts import ConflictDictionary
+from .conflicts import ConflictDictionary, kempe_start
 from .graph import Graph
-from .kempe import kempe_start
 from .precolor import greedy_precolor, random_precolor
 from .verifier import check_edge_coloring
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
-from .graph import Graph, GraphError
+from .graph import MAX_VERTICES, Graph, GraphError
 
 
 def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
@@ -70,18 +71,31 @@ def odd_graph(k: int) -> Graph:
     """Graph on the (k-1)-subsets of a (2k-1)-set, adjacency = disjointness.
 
     k-regular on C(2k-1, k-1) vertices; vertex ids follow colexicographic
-    subset order, so the construction is reproducible everywhere.
+    subset order, so the construction is reproducible everywhere.  A k
+    whose vertex count exceeds ``MAX_VERTICES`` is rejected before any
+    subset is enumerated.
     """
     if k < 2:
         raise GraphError(f"odd graph needs k >= 2, got {k}")
+    n = comb(2 * k - 1, k - 1)
+    if n > MAX_VERTICES:
+        raise GraphError(f"odd graph O_{k} has {n} vertices, more than the cap of {MAX_VERTICES}")
     subsets = sorted(combinations(range(2 * k - 1), k - 1), key=lambda s: s[::-1])
     masks = [sum(1 << e for e in s) for s in subsets]
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(masks)), 2)
-        if masks[i] & masks[j] == 0
-    ]
-    graph = Graph(len(masks), edges)
+    ids = {mask: i for i, mask in enumerate(masks)}
+    full = (1 << (2 * k - 1)) - 1
+    edges = []
+    for i, mask in enumerate(masks):
+        # the neighbours are the complement (k elements) minus one element
+        comp = full ^ mask
+        for e in range(2 * k - 1):
+            bit = 1 << e
+            if comp & bit:
+                j = ids[comp ^ bit]
+                if i < j:
+                    edges.append((i, j))
+    edges.sort()
+    graph = Graph(n, edges)
     _check_regular(graph, k)
     return graph
 

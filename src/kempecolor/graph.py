@@ -179,8 +179,7 @@ def read_edge_list(path: str) -> Graph:
 def format_coloring(graph: Graph) -> str:
     """Coloring output format: m lines `u v c`, edge insertion order."""
     lines = []
-    for u, v in graph.edges():
-        c = graph.edge_color(u, v)
+    for (u, v), c in zip(graph.edges(), graph.colors):
         if c is None:
             raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
         lines.append(f"{u} {v} {c}")

@@ -29,7 +29,5 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
 
 
 def random_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
-    """Assign every edge an independent uniform color."""
-    graph.clear_colors()
-    for u, v in graph.edges():
-        graph.set_edge_color(u, v, rng.randrange(num_colors))
+    """Assign every edge an independent uniform color, in edge-id order."""
+    graph.colors[:] = [rng.randrange(num_colors) for _ in graph.colors]

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import kempecolor
-from kempecolor import Graph
+from kempecolor import ConflictDictionary, Graph, conflicts, driver
 
 PUBLIC_NAMES = [
     "ConflictDictionary",
@@ -40,20 +40,32 @@ def test_all_is_the_documented_api():
         assert getattr(kempecolor, name) is not None
 
 
+def private_names(obj) -> set[str]:
+    """Single-underscore attributes of an instance and of its class."""
+    names = [*vars(obj), *vars(type(obj))]
+    return {a for a in names if a.startswith("_") and not a.startswith("__")}
+
+
 def graph_private_names():
     """Graph's own private attributes, plus the two the flat view replaced."""
-    instance = vars(Graph(2, [(0, 1)]))
-    names = {a for a in [*instance, *vars(Graph)] if a.startswith("_") and not a.startswith("__")}
-    return names | {"_adj", "_colors"}
+    return private_names(Graph(2, [(0, 1)])) | {"_adj", "_colors"}
 
 
-def test_no_module_reaches_into_graph_internals():
-    private = graph_private_names()
-    assert {"_edges", "_check_vertex"} <= private
+def conflict_private_names():
+    g = Graph(2, [(0, 1)])
+    g.colors[0] = 0
+    return private_names(ConflictDictionary(g, 1))
+
+
+def private_reads(private: set[str], owner: str) -> list[str]:
+    """Uses of ``private`` attributes in package modules other than ``owner``.
+
+    Access through ``self`` is left out: it names the module's own state.
+    """
     src = Path(kempecolor.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "graph.py":
+        if path.name == owner:
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
@@ -62,7 +74,28 @@ def test_no_module_reaches_into_graph_internals():
                 and not (isinstance(node.value, ast.Name) and node.value.id == "self")
             ):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
-    assert found == []
+    return found
+
+
+def test_no_module_reaches_into_graph_internals():
+    private = graph_private_names()
+    assert {"_edges", "_check_vertex"} <= private
+    assert private_reads(private, "graph.py") == []
+
+
+def test_no_module_reaches_into_conflict_dictionary_internals():
+    # the count table, levels and buckets are read and written in conflicts.py only
+    private = conflict_private_names()
+    assert {"_cnt", "_level", "_buckets"} <= private
+    assert private_reads(private, "conflicts.py") == []
+
+
+def test_driver_calls_the_chain_loop_from_conflicts():
+    # perfbench patches driver.kempe_start, so it must stay a module global
+    assert driver.kempe_start is conflicts.kempe_start
+    assert kempecolor.kempe_start is conflicts.kempe_start
+    assert kempecolor.kempe_process is conflicts.kempe_process
+    assert "color_edge" in vars(conflicts.ConflictDictionary)
 
 
 def test_clear_colors_keeps_the_colors_list():

@@ -99,6 +99,16 @@ def test_verify_unknown_edge_is_mismatch(k4_file, tmp_path):
     assert main(["verify", k4_file, str(col), "-D", "3"]) == 2
 
 
+@pytest.mark.parametrize("line", ["0 9 0", "-1 2 0", "4 0 1"])
+def test_verify_nonexistent_edge_is_usage_error(k4_file, tmp_path, capsys, line):
+    col = tmp_path / "ghost.txt"
+    col.write_text(f"{line}\n")
+    assert main(["verify", k4_file, str(col), "-D", "3"]) == 2
+    u, v, _ = line.split()
+    err = capsys.readouterr().err
+    assert err == f"error: coloring refers to nonexistent edge ({u}, {v})\n"
+
+
 def test_verify_parse_error(k4_file, tmp_path):
     col = tmp_path / "bad.txt"
     col.write_text("0 1\n")
@@ -138,6 +148,15 @@ def test_oddgraph_k2_class_two_by_parity(capsys):
 
 def test_oddgraph_rejects_small_k():
     assert main(["oddgraph", "1"]) == 2
+
+
+def test_oddgraph_over_vertex_cap_is_usage_error(capsys):
+    # O_12 has C(23, 11) = 1,352,078 vertices; it is rejected before any is built
+    assert main(["oddgraph", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1352078 vertices, more than the cap of 1000000" in err
 
 
 def test_bench_row_counts(tmp_path, capsys):

@@ -89,6 +89,46 @@ def test_odd_graph_rejects_small_k():
         odd_graph(1)
 
 
+def all_pairs_odd_graph_edges(k):
+    """Reference construction: test every vertex pair for disjointness."""
+    subsets = sorted(combinations(range(2 * k - 1), k - 1), key=lambda s: s[::-1])
+    masks = [sum(1 << e for e in s) for s in subsets]
+    return [
+        (i, j)
+        for i, j in combinations(range(len(masks)), 2)
+        if masks[i] & masks[j] == 0
+    ]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_odd_graph_matches_all_pairs_reference(k):
+    # same edge list in the same order, so edge ids agree too
+    assert odd_graph(k).edges() == all_pairs_odd_graph_edges(k)
+
+
+def test_odd_graph_cap_is_inclusive(monkeypatch):
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "MAX_VERTICES", 35)  # O_4 has C(7, 3) = 35 vertices
+    assert odd_graph(4).n == 35
+    monkeypatch.setattr(gen, "MAX_VERTICES", 34)
+    with pytest.raises(GraphError, match="O_4 has 35 vertices, more than the cap of 34"):
+        odd_graph(4)
+
+
+def test_odd_graph_cap_checked_before_enumerating(monkeypatch):
+    import kempecolor.generators as gen
+
+    def no_subsets(*args):
+        raise AssertionError("subsets enumerated for an over-cap k")
+
+    monkeypatch.setattr(gen, "combinations", no_subsets)
+    with pytest.raises(GraphError, match="cap of 1000000"):
+        odd_graph(12)  # C(23, 11) = 1,352,078 vertices
+    with pytest.raises(GraphError, match="cap of 1000000"):
+        odd_graph(40)
+
+
 def test_odd_graph_vertex_order_is_stable():
     # colexicographic ids: first vertices of O_3 pair up the smallest subsets
     g1 = odd_graph(3)

@@ -82,6 +82,15 @@ def test_random_colors_are_roughly_uniform():
         assert abs(counts[c] / total - 1 / 3) < 0.03
 
 
+def test_random_draws_one_color_per_edge_in_id_order():
+    g = Graph(4, [(2, 3), (0, 1), (1, 2)])
+    view = g.colors
+    random_precolor(g, 5, random.Random(3))
+    rng = random.Random(3)
+    assert g.colors == [rng.randrange(5) for _ in range(3)]
+    assert g.colors is view
+
+
 def test_random_empty_graph_noop():
     g = Graph(3, [])
     random_precolor(g, 3, random.Random(0))
