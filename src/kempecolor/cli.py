@@ -155,21 +155,20 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    seen = set()
+    n, adj, colors = graph.n, graph.adj, graph.colors
     for u, v, c in triples:
-        try:
-            idx = graph.edge_index(u, v)
-        except GraphError:
+        idx = adj[u].get(v) if 0 <= u < n else None
+        if idx is None:
             print(f"error: coloring refers to nonexistent edge ({u}, {v})",
                   file=sys.stderr)
             return EXIT_USAGE
-        if idx in seen:
+        # the graph was just read, so a set color means a second line for the edge
+        if colors[idx] is not None:
             print(f"error: edge ({u}, {v}) colored twice", file=sys.stderr)
             return EXIT_USAGE
-        seen.add(idx)
-        graph.colors[idx] = c
-    if len(seen) != graph.m:
-        print(f"error: coloring covers {len(seen)} of {graph.m} edges",
+        colors[idx] = c
+    if len(triples) != graph.m:
+        print(f"error: coloring covers {len(triples)} of {graph.m} edges",
               file=sys.stderr)
         return EXIT_USAGE
     if check_edge_coloring(graph, args.colors):

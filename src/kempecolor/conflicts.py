@@ -301,7 +301,8 @@ def kempe_start(
     Scans v's incident edges: the first sighting of a color marks it used,
     a second sighting marks that neighbor as reachable through a
     repeated-color edge.  One such neighbor is chosen uniformly, and the
-    new chain color is drawn uniformly from the colors absent at v.
+    new chain color is drawn uniformly from the colors absent at v.  The
+    colors at v must lie in [0, num_colors), as the dictionary's do.
     Returns the number of recolorings performed.
     """
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
@@ -316,11 +317,16 @@ def kempe_start(
             seen.add(c)
     if not repeated:
         return 0
-    available = [c for c in range(num_colors) if c not in seen]
-    if not available:
+    free = num_colors - len(seen)
+    if free <= 0:
         raise GraphError(
             f"vertex {v} has degree {deg} > {num_colors} colors: no free color"
         )
     node = rng.choice(repeated)
-    new_color = rng.choice(available)
+    # rng.choice over the ascending free colors, found by rank
+    new_color = rng.randrange(free)
+    for c in sorted(seen):
+        if c > new_color:
+            break
+        new_color += 1
     return kempe_process(graph, cd, v, node, new_color, rng)

@@ -38,24 +38,23 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self.adj: list[dict[int, int]] = [{} for _ in range(n)]
-        self._edges: list[tuple[int, int]] = []
-        self.colors: list[int | None] = []
-        for u, v in edges:
-            self._add_edge(u, v)
-
-    def _add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n) or not (0 <= v < self.n):
-            raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {self.n})")
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-        if v in self.adj[u]:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        idx = len(self._edges)
-        self._edges.append((min(u, v), max(u, v)))
-        self.colors.append(None)
-        self.adj[u][v] = idx
-        self.adj[v][u] = idx
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        out: list[tuple[int, int]] = []
+        append = out.append
+        for idx, (u, v) in enumerate(edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+            if u == v:
+                raise GraphError(f"self-loop ({u}, {v}) is not allowed")
+            around = adj[u]
+            if v in around:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            append((u, v) if u < v else (v, u))
+            around[v] = idx
+            adj[v][u] = idx
+        self.adj = adj
+        self._edges = out
+        self.colors: list[int | None] = [None] * len(out)
 
     @property
     def m(self) -> int:
@@ -150,13 +149,15 @@ def parse_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
+    append = edges.append
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = parts
+            append((int(u), int(v)))
         except ValueError:
+            if len(parts) != 2:
+                raise ParseError(f"edge line must be 'u v', got {ln!r}") from None
             raise ParseError(f"edge line must be two integers, got {ln!r}") from None
     try:
         return Graph(n, edges)
@@ -194,15 +195,17 @@ def write_coloring(graph: Graph, path: str) -> None:
 def parse_coloring(text: str) -> list[tuple[int, int, int]]:
     """Parse `u v c` lines into (u, v, color) triples."""
     triples = []
+    append = triples.append
     for ln in text.splitlines():
-        if not ln.strip():
-            continue
         parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError(f"coloring line must be 'u v c', got {ln!r}")
+        if not parts:
+            continue
         try:
-            triples.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            u, v, c = parts
+            append((int(u), int(v), int(c)))
         except ValueError:
+            if len(parts) != 3:
+                raise ParseError(f"coloring line must be 'u v c', got {ln!r}") from None
             raise ParseError(f"coloring line must be three integers, got {ln!r}") from None
     return triples
 

@@ -13,19 +13,37 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     Edges are visited in ascending (min, max) order.  When every color
     already appears at an endpoint, a uniform random color is forced.
     All previous colors are cleared first.
+
+    Each vertex keeps its used colors as an int bitmask.  The free color
+    is drawn as ``rng.choice`` over the ascending free colors would draw
+    it (one ``randrange`` of their count), then found by stepping past
+    the used colors at or below it, so no D-long list is built.
     """
     graph.clear_colors()
     adj = graph.adj
     colors = graph.colors
-    all_colors = range(num_colors)
-    for u, v in sorted(graph.edges()):
-        used = {colors[idx] for idx in adj[u].values()}
-        used.update(colors[idx] for idx in adj[v].values())
-        available = [c for c in all_colors if c not in used]
-        if available:
-            colors[adj[u][v]] = rng.choice(available)
+    randrange = rng.randrange
+    used = [0] * graph.n
+    edges = graph.edges()
+    edges.sort()
+    for u, v in edges:
+        taken = used[u] | used[v]
+        free = num_colors - taken.bit_count()
+        if free > 0:
+            c = randrange(free)
+            # the c-th free color: each used color at or below it shifts it up
+            while taken:
+                low = taken & -taken
+                if low.bit_length() > c + 1:
+                    break
+                c += 1
+                taken ^= low
         else:
-            colors[adj[u][v]] = rng.randrange(num_colors)
+            c = randrange(num_colors)
+        colors[adj[u][v]] = c
+        bit = 1 << c
+        used[u] |= bit
+        used[v] |= bit
 
 
 def random_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:

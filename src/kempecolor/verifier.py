@@ -17,8 +17,22 @@ def properly_colored(graph: Graph, v: int, num_colors: int) -> bool:
 
 
 def check_edge_coloring(graph: Graph, num_colors: int) -> bool:
-    """True iff every vertex is properly colored."""
-    return all(properly_colored(graph, v, num_colors) for v in range(graph.n))
+    """True iff every vertex is properly colored.
+
+    Scans vertices in label order and stops at the first one that is not
+    properly colored; an uncolored edge at a vertex reached first raises
+    ``UncoloredEdgeError``, as ``properly_colored`` does.
+    """
+    colors = graph.colors
+    for v, around in enumerate(graph.adj):
+        incident = {colors[idx] for idx in around.values()}
+        if None in incident:
+            graph.incident_colors(v)  # raises, naming the first uncolored edge
+        if len(incident) != len(around):
+            return False
+        if incident and not (0 <= min(incident) and max(incident) < num_colors):
+            return False
+    return True
 
 
 def brute_force_chromatic_index(graph: Graph, max_edges: int = 16) -> int:
