@@ -1,10 +1,11 @@
 """The package's public surface: exported names and the Graph flat view."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import kempecolor
-from kempecolor import ConflictDictionary, Graph, conflicts, driver
+from kempecolor import ConflictDictionary, Graph, HeuristicParams, cli, conflicts, driver, verifier
 
 PUBLIC_NAMES = [
     "ConflictDictionary",
@@ -96,6 +97,51 @@ def test_driver_calls_the_chain_loop_from_conflicts():
     assert kempecolor.kempe_start is conflicts.kempe_start
     assert kempecolor.kempe_process is conflicts.kempe_process
     assert "color_edge" in vars(conflicts.ConflictDictionary)
+
+
+def test_verifier_imports_nothing_from_the_search():
+    # success=True is re-checked by the verifier, so it must not share the
+    # search's code or state
+    imported = set()
+    for node in ast.walk(ast.parse(Path(verifier.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert "graph" in parts
+    assert not parts & {"conflicts", "driver"}
+
+
+# names perfbench's tracer swaps for timing wrappers
+TRACED_NAMES = [
+    (driver, "greedy_precolor"),
+    (driver, "check_edge_coloring"),
+    (cli, "read_edge_list"),
+    (cli, "read_coloring"),
+    (cli, "check_edge_coloring"),
+]
+
+
+def test_traced_names_are_globals_the_code_calls(monkeypatch, tmp_path, capsys):
+    calls = Counter()
+    for module, name in TRACED_NAMES:
+        key, original = f"{module.__name__}.{name}", getattr(module, name)
+
+        def counted(*args, key=key, original=original):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert driver.apply_heuristic(g, HeuristicParams(colors=3, seed=0)).success
+    graph_path, coloring_path = tmp_path / "graph.txt", tmp_path / "coloring.txt"
+    graph_path.write_text("4 6\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    coloring_path.write_text(kempecolor.format_coloring(g))
+    assert cli.main(["verify", str(graph_path), str(coloring_path), "-D", "3"]) == 0
+    assert capsys.readouterr().out == "coloring: valid\n"
+    assert set(calls) == {f"{module.__name__}.{name}" for module, name in TRACED_NAMES}
 
 
 def test_clear_colors_keeps_the_colors_list():

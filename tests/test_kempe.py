@@ -307,6 +307,26 @@ def test_fast_chain_matches_step_by_step_reference():
         cd.check_consistency()
 
 
+def test_kempe_start_matches_reference_with_many_colors():
+    # the new chain color is found by rank among 10^4 colors, most of them free
+    rng = random.Random(9090)
+    for _ in range(100):
+        g = random_simple_graph(rng, max_n=10)
+        random_precolor(g, rng.randrange(1, 4), rng)
+        twin = copy_colored(g)
+        cd, cd_twin = ConflictDictionary(g, 10**4), ConflictDictionary(twin, 10**4)
+        if cd.total == 0:
+            continue
+        seed = rng.getrandbits(32)
+        fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+        v = cd.sample_max_level(fast_rng)
+        assert v == cd_twin.sample_max_level(ref_rng)
+        steps = kempe_start(g, cd, 10**4, v, fast_rng)
+        assert steps == reference_start(twin, cd_twin, 10**4, v, ref_rng)
+        assert fast_rng.getstate() == ref_rng.getstate()
+        assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
+
+
 def test_kempe_process_rejects_color_out_of_range():
     g = path_graph([0, 1])
     cd = ConflictDictionary(g, 3)

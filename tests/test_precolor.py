@@ -2,11 +2,14 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from kempecolor import (
     ConflictDictionary,
     Graph,
     greedy_precolor,
     random_precolor,
+    random_regular_graph,
 )
 
 
@@ -61,6 +64,45 @@ def test_greedy_local_optimality():
             c = g.edge_color(u, v)
             assert c not in used or len(used) == colors
             partial[(u, v)] = c
+
+
+def reference_greedy(graph, num_colors, rng):
+    """Greedy pre-coloring with a set of used colors and a D-long free list per edge."""
+    graph.clear_colors()
+    adj = graph.adj
+    colors = graph.colors
+    for u, v in sorted(graph.edges()):
+        used = {colors[idx] for idx in adj[u].values()}
+        used.update(colors[idx] for idx in adj[v].values())
+        available = [c for c in range(num_colors) if c not in used]
+        if available:
+            colors[adj[u][v]] = rng.choice(available)
+        else:
+            colors[adj[u][v]] = rng.randrange(num_colors)
+
+
+def assert_greedy_matches_reference(g, num_colors, seed):
+    fast, ref = random.Random(seed), random.Random(seed)
+    greedy_precolor(g, num_colors, fast)
+    got = list(g.colors)
+    reference_greedy(g, num_colors, ref)
+    assert got == g.colors
+    assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("delta, n", [(3, 30), (4, 25), (7, 20), (15, 20)])
+def test_greedy_matches_list_based_reference(delta, n):
+    # D = delta forces random colors often; D >= 2 delta - 1 never does
+    g = random_regular_graph(n, delta, random.Random(delta))
+    for num_colors in range(delta, 2 * delta + 2):
+        for seed in range(4):
+            assert_greedy_matches_reference(g, num_colors, seed)
+
+
+def test_greedy_matches_list_based_reference_with_many_colors():
+    g = random_regular_graph(20, 3, random.Random(1))
+    for seed in range(5):
+        assert_greedy_matches_reference(g, 10**4, seed)
 
 
 def test_random_one_color_is_forced():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from kempecolor import (
     Graph,
     GraphError,
     HeuristicParams,
+    UncoloredEdgeError,
     apply_heuristic,
     brute_force_chromatic_index,
     check_edge_coloring,
@@ -107,3 +109,43 @@ def test_brute_force_raises_if_delta_plus_one_fails(triangle, monkeypatch):
     monkeypatch.setattr(verifier, "_edge_colorable", lambda graph, num_colors: False)
     with pytest.raises(RuntimeError, match="max degree \\+ 1"):
         brute_force_chromatic_index(triangle)
+
+
+def outcome(check, graph, num_colors):
+    try:
+        return check(graph, num_colors)
+    except UncoloredEdgeError as exc:
+        return f"raised: {exc}"
+
+
+def reference_check(graph, num_colors):
+    return all(properly_colored(graph, v, num_colors) for v in range(graph.n))
+
+
+def test_check_matches_per_vertex_reference():
+    rng = random.Random(5150)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        possible = list(combinations(range(n), 2))
+        g = Graph(n, rng.sample(possible, rng.randrange(0, len(possible) + 1)))
+        colors = rng.randrange(1, g.max_degree() + 3)
+        stray = [None, None, -2, -1, colors, colors + 1]
+        for idx in range(g.m):
+            g.colors[idx] = rng.choice(stray) if rng.random() < 0.1 else rng.randrange(colors)
+        got = outcome(check_edge_coloring, g, colors)
+        assert got == outcome(reference_check, g, colors)
+        seen[got if isinstance(got, bool) else "raised"] += 1
+    assert min(seen[True], seen[False], seen["raised"]) >= 100
+
+
+def test_check_stops_at_the_first_bad_vertex():
+    # vertex 0 repeats a color; the uncolored edge (2, 3) is reached later
+    g = Graph(4, [(0, 1), (0, 2), (2, 3)])
+    g.colors[:] = [0, 0, None]
+    assert check_edge_coloring(g, 2) is False
+    # relabelled so the uncolored edge's vertex is reached first
+    g = Graph(4, [(3, 2), (3, 1), (0, 1)])
+    g.colors[:] = [0, 0, None]
+    with pytest.raises(UncoloredEdgeError, match=r"edge \(0, 1\) incident to 0"):
+        check_edge_coloring(g, 2)
