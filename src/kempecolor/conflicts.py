@@ -4,7 +4,7 @@ The conflict level of a vertex is its degree minus the number of distinct
 colors on its incident edges (0 means locally proper).  The dictionary
 buckets every vertex with level >= 1 by its level and keeps the total
 conflictivity (sum of all levels) cached, so the search loop gets O(1)
-reads and O(1) expected updates per recoloring.
+reads, and a recoloring updates it from a scan of its endpoints' edges.
 
 A Kempe chain starts at a conflicting vertex, walks along edges whose
 colors alternate between the carried old color and the chosen new color,
@@ -68,31 +68,25 @@ class _RandomSet:
 class ConflictDictionary:
     """Levels and buckets for a totally colored graph.
 
-    A flat count table ``_cnt[v*D + c]`` holds the number of edges of
-    color c at vertex v, so one recoloring updates each endpoint's level
-    in O(1): level = sum over c of max(0, count - 1).
+    Nothing is stored per color: a recoloring changes an endpoint's level
+    by (new color among its other edges) - (old color among its other
+    edges), found by scanning that endpoint's edges.
     """
 
     def __init__(self, graph: Graph, colors: int):
         self.graph = graph
         self.colors = colors
-        cnt = [0] * (graph.n * colors)
-        level = [0] * graph.n
-        for (u, v), c in zip(graph.edges(), graph.colors):
-            # a stray color would index another vertex's slots of the table
+        edge_colors = graph.colors
+        for (u, v), c in zip(graph.edges(), edge_colors):
             if c is None:
                 raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
+            # kempe_start's free-color rank walk assumes colors in [0, D)
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
-            k = u * colors + c
-            if cnt[k]:
-                level[u] += 1
-            cnt[k] += 1
-            k = v * colors + c
-            if cnt[k]:
-                level[v] += 1
-            cnt[k] += 1
-        self._cnt = cnt
+        level = [
+            len(around) - len({edge_colors[i] for i in around.values()})
+            for around in graph.adj
+        ]
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
@@ -137,16 +131,10 @@ class ConflictDictionary:
         if old == color:
             return 0
         colors[idx] = color
-        cnt, level, buckets = self._cnt, self._level, self._buckets
-        width = self.colors
+        level, buckets = self._level, self._buckets
         for x in (u, v):
-            k_old = x * width + old
-            k_new = k_old + color - old
-            # read before the move: the new color adds a repeat if already
-            # present at x, the old one loses a repeat if it was repeated
-            delta = (cnt[k_new] > 0) - (cnt[k_old] > 1)
-            cnt[k_old] -= 1
-            cnt[k_new] += 1
+            others = [colors[i] for i in self.graph.adj[x].values() if i != idx]
+            delta = (color in others) - (old in others)
             if delta:
                 lvl = level[x]
                 if lvl > 0:
@@ -161,20 +149,13 @@ class ConflictDictionary:
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.
 
-        Levels are compared with the set-based ``conflict_level`` and the
-        count table with a plain recount, so this shares no code with the
-        incremental updates it checks.
+        Levels are compared with the set-based ``conflict_level``, so this
+        shares no code with the incremental updates it checks.
         """
         graph, colors = self.graph, self.colors
-        fresh = [0] * len(self._cnt)
-        for idx, (u, v) in enumerate(graph.edges()):
-            c = graph.color_of_index(idx)
+        for (u, v), c in zip(graph.edges(), graph.colors):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
-            fresh[u * colors + c] += 1
-            fresh[v * colors + c] += 1
-        if fresh != self._cnt:
-            raise RuntimeError("stale color-count table")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
         if self._level != levels:
             raise RuntimeError("stale conflict levels")
@@ -200,26 +181,34 @@ def kempe_process(
     never seen before).
 
     A recoloring does what ``ConflictDictionary.color_edge`` does, with the
-    same net bucket operations, but updates the count table, levels and
-    buckets inline.  The draw is ``rng.choice`` spelled out with
-    ``getrandbits``.  ``node``'s bucket move waits for the next step, which
-    updates it again as ``last``: no other bucket operation runs in
-    between, and a ``_RandomSet`` ``add`` then ``remove`` of one member is
-    the identity, so levels a -> b -> c need only ``remove`` from a and
-    ``add`` to c, even when a == c (which moves it to the end of its
-    bucket).
+    same net bucket operations, but updates the levels and buckets inline.
+    The scan of ``node``'s edges that finds the continuation also looks for
+    a twin, another edge of ``node`` with the old color, and that gives
+    both of ``node``'s level changes: (a continuation exists) - twin now,
+    and twin - 1 at the next step, as ``last``, when it gives up the
+    carried color (its previous edge keeps it) and takes the old one back.
+    Only ``start`` needs a scan of its own.  The draw is ``rng.choice``
+    spelled out with ``getrandbits``.  ``node``'s bucket move waits for
+    the next step, which updates it again as ``last``: no other bucket
+    operation runs in between, and a ``_RandomSet`` ``add`` then
+    ``remove`` of one member is the identity, so levels a -> b -> c need
+    only ``remove`` from a and ``add`` to c, even when a == c (which moves
+    it to the end of its bucket).
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
     adj = graph.adj
     colors = graph.colors
-    cnt, level, buckets = cd._cnt, cd._level, cd._buckets
-    width = cd.colors
+    level, buckets = cd._level, cd._buckets
     getrandbits = rng.getrandbits
     visited: set[int] = set()
     last = start
     carry = new_color
+    old = colors[idx]
+    others = [colors[i] for i in adj[start].values() if i != idx]
+    # last's level change when its edge to node is recolored
+    delta = (carry in others) - (old in others)
     # last sits in bucket `home`; `moved` says its level changed since then
     home = level[start]
     moved = False
@@ -230,14 +219,19 @@ def kempe_process(
         around = adj[node]
         # the continuation: a list is built only for a second candidate
         nxt = many = None
+        twin = False
         for w, i in around.items():
-            if w != last and colors[i] == carry:
-                if nxt is None:
-                    nxt = w
-                elif many is None:
-                    many = [nxt, w]
-                else:
-                    many.append(w)
+            if w != last:
+                c = colors[i]
+                if c == carry:
+                    if nxt is None:
+                        nxt = w
+                    elif many is None:
+                        many = [nxt, w]
+                    else:
+                        many.append(w)
+                elif c == old:
+                    twin = True
         if many is not None:
             n = len(many)
             bits = n.bit_length()
@@ -248,28 +242,17 @@ def kempe_process(
         elif nxt is not None:
             while getrandbits(1):
                 pass
-        old = colors[idx]
         steps += 1
         variation = 0
         node_home = level[node]
+        # old == carry only on a direct call, and then at every step
         if old != carry:
             colors[idx] = carry
-            # k is an endpoint's slot for the new color, k + shift for the
-            # old one; read before the move: the new color adds a repeat if
-            # already present, the old one loses a repeat if it was repeated
-            shift = old - carry
-            k = last * width + carry
-            delta = (cnt[k] > 0) - (cnt[k + shift] > 1)
-            cnt[k] += 1
-            cnt[k + shift] -= 1
             if delta:
                 level[last] += delta
                 total += delta
                 moved = True
-            k = node * width + carry
-            variation = (cnt[k] > 0) - (cnt[k + shift] > 1)
-            cnt[k] += 1
-            cnt[k + shift] -= 1
+            variation = (nxt is not None) - twin
             if variation:
                 level[node] = node_home + variation
                 total += variation
@@ -288,7 +271,9 @@ def kempe_process(
                     buckets[lvl].add(node)
             cd.total += total
             return steps
-        last, node, carry = node, nxt, old
+        last, node = node, nxt
+        carry, old = old, carry
+        delta = twin - 1
         home, moved = node_home, variation != 0
         idx = around[node]
 

@@ -85,9 +85,9 @@ def test_no_module_reaches_into_graph_internals():
 
 
 def test_no_module_reaches_into_conflict_dictionary_internals():
-    # the count table, levels and buckets are read and written in conflicts.py only
+    # the levels and buckets are read and written in conflicts.py only
     private = conflict_private_names()
-    assert {"_cnt", "_level", "_buckets"} <= private
+    assert {"_level", "_buckets"} <= private
     assert private_reads(private, "conflicts.py") == []
 
 

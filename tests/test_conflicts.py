@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,9 +8,12 @@ from kempecolor import (
     ConflictDictionary,
     Graph,
     GraphError,
+    HeuristicParams,
+    apply_heuristic,
     conflict_level,
     greedy_precolor,
     random_precolor,
+    random_regular_graph,
 )
 
 
@@ -155,7 +159,7 @@ def test_incremental_matches_scratch_on_random_sequences():
         for _ in range(100):
             u, v = rng.choice(edges)
             cd.color_edge(u, v, rng.randrange(colors))
-        cd.check_consistency()
+            cd.check_consistency()
 
 
 def test_single_recolor_changes_levels_by_at_most_one():
@@ -185,9 +189,27 @@ def test_level_range_bound():
             assert 0 <= cd.level(v) <= max(g.degree(v) - 1, 0)
 
 
+def test_memory_does_not_grow_with_the_color_count():
+    # one slot per (vertex, color) would be 200 * 50,000 slots, about 80 MB
+    g = random_regular_graph(200, 3, random.Random(1))
+    greedy_precolor(g, 50_000, random.Random(2))
+    tracemalloc.start()
+    try:
+        ConflictDictionary(g, 50_000)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = apply_heuristic(g, HeuristicParams(colors=50_000, seed=3))
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.success
+    assert build_peak < 4 * 2**20
+    assert run_peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("bad", [None, -1, 3])
 def test_dictionary_rejects_uncolored_or_out_of_range_edge(bad):
-    # -1 or D would index a neighbouring vertex's slots of the count table
+    # kempe_start's free-color rank walk assumes colors in [0, D)
     g = colored_triangle((0, 1, 2))
     g.set_edge_color(1, 2, bad)
     with pytest.raises(GraphError):
@@ -195,7 +217,7 @@ def test_dictionary_rejects_uncolored_or_out_of_range_edge(bad):
 
 
 def test_check_consistency_raises_on_untracked_write():
-    # a raw write bypasses the dictionary, so its counts and levels go stale
+    # a raw write bypasses the dictionary, so its levels go stale
     g = colored_triangle((0, 1, 2))
     cd = ConflictDictionary(g, 3)
     g.set_edge_color(0, 1, 2)

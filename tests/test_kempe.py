@@ -284,7 +284,8 @@ def test_fast_chain_matches_step_by_step_reference():
     rng = random.Random(8080)
     for trial in range(400):
         g = random_simple_graph(rng, max_n=14)
-        colors = max(2, g.max_degree()) + rng.randrange(2)
+        max_deg = max(2, g.max_degree())
+        colors = rng.choice([max_deg, max_deg + 1, 10**4])
         random_precolor(g, colors, rng)
         twin = copy_colored(g)
         cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
@@ -304,7 +305,7 @@ def test_fast_chain_matches_step_by_step_reference():
             assert steps == ref_steps
             assert fast_rng.getstate() == ref_rng.getstate()
             assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
-        cd.check_consistency()
+            cd.check_consistency()
 
 
 def test_kempe_start_matches_reference_with_many_colors():
