@@ -4,7 +4,10 @@ The conflict level of a vertex is its degree minus the number of distinct
 colors on its incident edges (0 means locally proper).  The dictionary
 buckets every vertex with level >= 1 by its level and keeps the total
 conflictivity (sum of all levels) cached, so the search loop gets O(1)
-reads, and a recoloring updates it from a scan of its endpoints' edges.
+reads.  It also indexes each vertex's edges by color, one entry per color
+present there, so a chain step finds the edge of a given color at a vertex
+in O(1) expected time; it scans the vertex's edges only where that color
+repeats.
 
 A Kempe chain starts at a conflicting vertex, walks along edges whose
 colors alternate between the carried old color and the chosen new color,
@@ -66,11 +69,13 @@ class _RandomSet:
 
 
 class ConflictDictionary:
-    """Levels and buckets for a totally colored graph.
+    """Levels, buckets and a per-vertex color index for a totally colored graph.
 
-    Nothing is stored per color: a recoloring changes an endpoint's level
-    by (new color among its other edges) - (old color among its other
-    edges), found by scanning that endpoint's edges.
+    ``_at[v]`` maps each color present at v to the id of its edge when
+    exactly one edge of v has it, and to -1 when two or more do, so v's
+    level is ``len(adj[v]) - len(_at[v])``.  ``_ends[e]`` is the XOR of edge
+    e's endpoints: one endpoint gives the other.  Both take O(m) memory,
+    whatever the number of colors.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -83,10 +88,16 @@ class ConflictDictionary:
             # kempe_start's free-color rank walk assumes colors in [0, D)
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
-        level = [
-            len(around) - len({edge_colors[i] for i in around.values()})
-            for around in graph.adj
-        ]
+        at: list[dict[int, int]] = []
+        for around in graph.adj:
+            here: dict[int, int] = {}
+            for i in around.values():
+                c = edge_colors[i]
+                here[c] = -1 if c in here else i
+            at.append(here)
+        self._at = at
+        self._ends = [u ^ v for u, v in graph.edges()]
+        level = [len(around) - len(here) for around, here in zip(graph.adj, at)]
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
@@ -121,7 +132,8 @@ class ConflictDictionary:
 
         Returns the conflict-level change at v, the second endpoint.  The
         validated single-edge form of the update that ``kempe_process``
-        applies inline along a chain.
+        applies inline along a chain.  Each endpoint's change and index
+        entries come from a scan of its other edges, not from the index.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
@@ -133,8 +145,16 @@ class ConflictDictionary:
         colors[idx] = color
         level, buckets = self._level, self._buckets
         for x in (u, v):
-            others = [colors[i] for i in self.graph.adj[x].values() if i != idx]
-            delta = (color in others) - (old in others)
+            others = [i for i in self.graph.adj[x].values() if i != idx]
+            joined = [i for i in others if colors[i] == color]
+            left = [i for i in others if colors[i] == old]
+            here = self._at[x]
+            here[color] = -1 if joined else idx
+            if len(left) == 1:
+                here[old] = left[0]
+            elif not left:
+                del here[old]
+            delta = bool(joined) - bool(left)
             if delta:
                 lvl = level[x]
                 if lvl > 0:
@@ -149,13 +169,19 @@ class ConflictDictionary:
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.
 
-        Levels are compared with the set-based ``conflict_level``, so this
-        shares no code with the incremental updates it checks.
+        Levels are compared with the set-based ``conflict_level``, and the
+        color index with one rebuilt edge by edge, so this shares no code
+        with the incremental updates it checks.
         """
         graph, colors = self.graph, self.colors
-        for (u, v), c in zip(graph.edges(), graph.colors):
+        at: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        for i, ((u, v), c) in enumerate(zip(graph.edges(), graph.colors)):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
+            for x in (u, v):
+                at[x][c] = -1 if c in at[x] else i
+        if self._at != at or self._ends != [u ^ v for u, v in graph.edges()]:
+            raise RuntimeError("stale color index")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
         if self._level != levels:
             raise RuntimeError("stale conflict levels")
@@ -166,6 +192,27 @@ class ConflictDictionary:
             want = {v for v, x in enumerate(levels) if x == lvl} if lvl > 0 else set()
             if self.bucket_members(lvl) != want:
                 raise RuntimeError(f"bucket {lvl} out of sync")
+
+
+def _recolor_entries(
+    here: dict[int, int], around: dict[int, int], colors, idx: int, old: int, new: int
+) -> int:
+    """Update one vertex's color index for edge ``idx`` going from ``old`` to ``new``.
+
+    ``here`` and ``around`` are the vertex's index and adjacency.  Returns
+    its level change.  The vertex's edges are scanned only when another
+    edge keeps ``old`` (a twin), to find whether exactly one does.
+    """
+    if old == new:
+        return 0
+    gained = new in here
+    here[new] = -1 if gained else idx
+    if here[old] >= 0:
+        del here[old]
+        return gained
+    rest = [i for i in around.values() if i != idx and colors[i] == old]
+    here[old] = rest[0] if len(rest) == 1 else -1
+    return gained - 1
 
 
 def kempe_process(
@@ -181,34 +228,43 @@ def kempe_process(
     never seen before).
 
     A recoloring does what ``ConflictDictionary.color_edge`` does, with the
-    same net bucket operations, but updates the levels and buckets inline.
-    The scan of ``node``'s edges that finds the continuation also looks for
-    a twin, another edge of ``node`` with the old color, and that gives
-    both of ``node``'s level changes: (a continuation exists) - twin now,
-    and twin - 1 at the next step, as ``last``, when it gives up the
+    same net bucket operations, but updates the levels, buckets and color
+    index inline.  ``node``'s index entry for the carried color gives the
+    continuation: none, one edge, or -1, and only -1 scans ``node``'s
+    edges, in insertion order, to draw among them.  Its entry for the old
+    color says whether a twin, another edge with that color, stays.  They
+    give both of ``node``'s level changes: (a continuation exists) - twin
+    now, and twin - 1 at the next step, as ``last``, when it gives up the
     carried color (its previous edge keeps it) and takes the old one back.
-    Only ``start`` needs a scan of its own.  The draw is ``rng.choice``
-    spelled out with ``getrandbits``.  ``node``'s bucket move waits for
-    the next step, which updates it again as ``last``: no other bucket
-    operation runs in between, and a ``_RandomSet`` ``add`` then
-    ``remove`` of one member is the identity, so levels a -> b -> c need
-    only ``remove`` from a and ``add`` to c, even when a == c (which moves
-    it to the end of its bucket).
+    Those two recolorings leave ``node``'s colors as they were, so its
+    entries are set to their final values at once: a sole continuation
+    edge hands the carried color's entry to the edge just recolored, and
+    without a twin the old color's entry passes to the continuation.  Only
+    ``start`` and a terminal ``node`` get the general update, and only one
+    with a twin scans its edges.  On a direct call with ``new_color``
+    equal to the edge's color, every write is a no-op and the chain only
+    walks and draws.  The draw is ``rng.choice`` spelled out with
+    ``getrandbits``.  ``node``'s bucket move waits for the next step, which
+    updates it again as ``last``: no other bucket operation runs in
+    between, and a ``_RandomSet`` ``add`` then ``remove`` of one member is
+    the identity, so levels a -> b -> c need only ``remove`` from a and
+    ``add`` to c, even when a == c (which moves it to the end of its
+    bucket).
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
     adj = graph.adj
     colors = graph.colors
-    level, buckets = cd._level, cd._buckets
+    level, buckets, at, ends = cd._level, cd._buckets, cd._at, cd._ends
     getrandbits = rng.getrandbits
     visited: set[int] = set()
     last = start
     carry = new_color
     old = colors[idx]
-    others = [colors[i] for i in adj[start].values() if i != idx]
-    # last's level change when its edge to node is recolored
-    delta = (carry in others) - (old in others)
+    # last's level change when its edge to node is recolored; start's index
+    # entries are settled now, before the chain can come back to it
+    delta = _recolor_entries(at[start], adj[start], colors, idx, old, carry)
     # last sits in bucket `home`; `moved` says its level changed since then
     home = level[start]
     moved = False
@@ -216,46 +272,38 @@ def kempe_process(
     steps = 0
     while True:
         visited.add(last)
-        around = adj[node]
-        # the continuation: a list is built only for a second candidate
-        nxt = many = None
-        twin = False
-        for w, i in around.items():
-            if w != last:
-                c = colors[i]
-                if c == carry:
-                    if nxt is None:
-                        nxt = w
-                    elif many is None:
-                        many = [nxt, w]
-                    else:
-                        many.append(w)
-                elif c == old:
-                    twin = True
-        if many is not None:
-            n = len(many)
-            bits = n.bit_length()
-            r = getrandbits(bits)
-            while r >= n:
+        here = at[node]
+        e = here.get(carry)
+        # e == idx only when old == carry: then idx is node's sole such edge
+        if e is None or e == idx:
+            nxt = None
+        else:
+            if e >= 0:
+                out = e
+                while getrandbits(1):
+                    pass
+            else:
+                many = [i for i in adj[node].values() if i != idx and colors[i] == carry]
+                n = len(many)
+                bits = n.bit_length()
                 r = getrandbits(bits)
-            nxt = many[r]
-        elif nxt is not None:
-            while getrandbits(1):
-                pass
+                while r >= n:
+                    r = getrandbits(bits)
+                out = many[r]
+            nxt = ends[out] ^ node
         steps += 1
-        variation = 0
+        colors[idx] = carry
+        twin = here[old] < 0
+        # 0 when old == carry: twin is then exactly "a continuation exists"
+        variation = (nxt is not None) - twin
         node_home = level[node]
-        # old == carry only on a direct call, and then at every step
-        if old != carry:
-            colors[idx] = carry
-            if delta:
-                level[last] += delta
-                total += delta
-                moved = True
-            variation = (nxt is not None) - twin
-            if variation:
-                level[node] = node_home + variation
-                total += variation
+        if delta:
+            level[last] += delta
+            total += delta
+            moved = True
+        if variation:
+            level[node] = node_home + variation
+            total += variation
         if moved:
             if home > 0:
                 buckets[home].remove(last)
@@ -263,6 +311,7 @@ def kempe_process(
             if lvl > 0:
                 buckets[lvl].add(last)
         if variation < 0 or nxt is None or node in visited:
+            _recolor_entries(here, adj[node], colors, idx, old, carry)
             if variation:
                 if node_home > 0:
                     buckets[node_home].remove(node)
@@ -271,11 +320,17 @@ def kempe_process(
                     buckets[lvl].add(node)
             cd.total += total
             return steps
+        # entries after the next step gives `out` the old color
+        # (both are no-ops when old == carry: e and here[old] are then -1)
+        if e >= 0:
+            here[carry] = idx
+        if not twin:
+            here[old] = out
         last, node = node, nxt
         carry, old = old, carry
         delta = twin - 1
         home, moved = node_home, variation != 0
-        idx = around[node]
+        idx = out
 
 
 def kempe_start(

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The sweeps take a few
-minutes in total; everything is seeded and deterministic apart from wall
-clock readings.
+minutes in total, so every test here is marked `slow` and
+`pytest -m "not slow"` leaves them out; everything is seeded and
+deterministic apart from wall clock readings.
 """
 
 import random
@@ -25,6 +26,9 @@ from kempecolor import (
     random_precolor,
 )
 from kempecolor.bench import run_sweep, summarize
+
+
+pytestmark = pytest.mark.slow
 
 
 def report(criterion, ok, detail):

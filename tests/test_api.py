@@ -85,9 +85,10 @@ def test_no_module_reaches_into_graph_internals():
 
 
 def test_no_module_reaches_into_conflict_dictionary_internals():
-    # the levels and buckets are read and written in conflicts.py only
+    # the levels, buckets and color index are read and written in
+    # conflicts.py only
     private = conflict_private_names()
-    assert {"_level", "_buckets"} <= private
+    assert {"_level", "_buckets", "_at", "_ends"} <= private
     assert private_reads(private, "conflicts.py") == []
 
 

@@ -239,3 +239,13 @@ def test_check_consistency_raises_on_stale_bucket():
     cd._buckets[1].add(1)
     with pytest.raises(RuntimeError, match="bucket"):
         cd.check_consistency()
+
+
+def test_check_consistency_raises_on_stale_color_index():
+    # vertex 0 has two 0-edges, so its entry for color 0 must read -1
+    g = star([0, 0, 1])
+    cd = ConflictDictionary(g, 3)
+    assert cd._at[0] == {0: -1, 1: 2}
+    cd._at[0][0] = 1
+    with pytest.raises(RuntimeError, match="color index"):
+        cd.check_consistency()

@@ -11,6 +11,7 @@ from kempecolor import (
     kempe_process,
     kempe_start,
     random_precolor,
+    random_regular_graph,
 )
 
 
@@ -280,6 +281,34 @@ def dictionary_state(graph, cd):
     )
 
 
+def assert_chains_match(g, colors, rng, operations, from_conflicts):
+    """Run chains on g and on a copy through the reference; states must agree.
+
+    Each chain starts at a sampled conflicting vertex (``kempe_start``) if
+    ``from_conflicts`` and conflicts remain, otherwise at a random edge
+    with a random new color (``kempe_process``).
+    """
+    twin = copy_colored(g)
+    cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
+    seed = rng.getrandbits(32)
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(operations):
+        if from_conflicts and cd.total > 0:
+            v = cd.sample_max_level(fast_rng)
+            assert v == cd_twin.sample_max_level(ref_rng)
+            steps = kempe_start(g, cd, colors, v, fast_rng)
+            ref_steps = reference_start(twin, cd_twin, colors, v, ref_rng)
+        else:
+            u, v = rng.choice(g.edges())
+            c = rng.randrange(colors)
+            steps = kempe_process(g, cd, u, v, c, fast_rng)
+            ref_steps = reference_process(twin, cd_twin, u, v, c, ref_rng)
+        assert steps == ref_steps
+        assert fast_rng.getstate() == ref_rng.getstate()
+        assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
+        cd.check_consistency()
+
+
 def test_fast_chain_matches_step_by_step_reference():
     rng = random.Random(8080)
     for trial in range(400):
@@ -287,25 +316,13 @@ def test_fast_chain_matches_step_by_step_reference():
         max_deg = max(2, g.max_degree())
         colors = rng.choice([max_deg, max_deg + 1, 10**4])
         random_precolor(g, colors, rng)
-        twin = copy_colored(g)
-        cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
-        seed = rng.getrandbits(32)
-        fast_rng, ref_rng = random.Random(seed), random.Random(seed)
-        for _ in range(5):
-            if trial % 2 and cd.total > 0:
-                v = cd.sample_max_level(fast_rng)
-                assert v == cd_twin.sample_max_level(ref_rng)
-                steps = kempe_start(g, cd, colors, v, fast_rng)
-                ref_steps = reference_start(twin, cd_twin, colors, v, ref_rng)
-            else:
-                u, v = rng.choice(g.edges())
-                c = rng.randrange(colors)
-                steps = kempe_process(g, cd, u, v, c, fast_rng)
-                ref_steps = reference_process(twin, cd_twin, u, v, c, ref_rng)
-            assert steps == ref_steps
-            assert fast_rng.getstate() == ref_rng.getstate()
-            assert dictionary_state(g, cd) == dictionary_state(twin, cd_twin)
-            cd.check_consistency()
+        assert_chains_match(g, colors, rng, 5, from_conflicts=trial % 2)
+    # wide vertices: colors repeat at most vertices, so the continuation is
+    # often drawn among several edges and chains start and end at twins
+    for trial, d in enumerate([8, 15] * 6):
+        g = random_regular_graph(40, d, rng)
+        random_precolor(g, d, rng)
+        assert_chains_match(g, d, rng, 20, from_conflicts=trial % 4 < 2)
 
 
 def test_kempe_start_matches_reference_with_many_colors():
