@@ -35,9 +35,9 @@ def conflict_level(graph: Graph, v: int) -> int:
 class _RandomSet:
     """Set with O(1) insert/remove and uniform member sampling.
 
-    ``add(x)`` then ``remove(x)`` leaves it exactly as it was (x is appended,
-    then popped from the end); ``kempe_process`` relies on that to skip a
-    chain vertex's intermediate bucket moves.
+    ``add(x)`` then ``remove(x)`` leaves it exactly as it was, so a level
+    that goes up by one and straight back only moves its vertex to the end
+    of its bucket; ``kempe_process`` relies on that for interior vertices.
     """
 
     __slots__ = ("_items", "_pos")
@@ -143,7 +143,6 @@ class ConflictDictionary:
         if old == color:
             return 0
         colors[idx] = color
-        level, buckets = self._level, self._buckets
         for x in (u, v):
             others = [i for i in self.graph.adj[x].values() if i != idx]
             joined = [i for i in others if colors[i] == color]
@@ -156,15 +155,25 @@ class ConflictDictionary:
                 del here[old]
             delta = bool(joined) - bool(left)
             if delta:
-                lvl = level[x]
-                if lvl > 0:
-                    buckets[lvl].remove(x)
-                lvl += delta
-                if lvl > 0:
-                    buckets[lvl].add(x)
-                level[x] = lvl
-                self.total += delta
+                self._shift(x, delta)
         return delta
+
+    def _shift(self, v: int, delta: int) -> None:
+        """Add delta to v's level and move v to the end of its new bucket.
+
+        After ``__init__`` this is the only writer of levels, buckets and
+        the total.  With delta 0, v only moves to the end of its bucket.
+        """
+        level, buckets = self._level, self._buckets
+        lvl = level[v]
+        if lvl > 0:
+            buckets[lvl].remove(v)
+        if delta:
+            lvl += delta
+            level[v] = lvl
+            self.total += delta
+        if lvl > 0:
+            buckets[lvl].add(v)
 
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.
@@ -220,58 +229,42 @@ def kempe_process(
 ) -> int:
     """Run the chain from edge {start, node} to termination.
 
-    Each step recolors edge {last, node} to the carried color (first
+    Each step recolors the edge into ``node`` to the carried color (first
     ``new_color``, then the color the previous recoloring displaced) and
-    moves on to a uniform random neighbour of ``node``, other than
-    ``last``, whose edge has the carried color.  Returns the number of
+    moves on to a uniform random neighbour of ``node``, other than the one
+    it came from, whose edge has the carried color.  Returns the number of
     recolorings performed (at most n: every iteration consumes a vertex
     never seen before).
 
-    A recoloring does what ``ConflictDictionary.color_edge`` does, with the
-    same net bucket operations, but updates the levels, buckets and color
-    index inline.  ``node``'s index entry for the carried color gives the
-    continuation: none, one edge, or -1, and only -1 scans ``node``'s
-    edges, in insertion order, to draw among them.  Its entry for the old
-    color says whether a twin, another edge with that color, stays.  They
-    give both of ``node``'s level changes: (a continuation exists) - twin
-    now, and twin - 1 at the next step, as ``last``, when it gives up the
-    carried color (its previous edge keeps it) and takes the old one back.
-    Those two recolorings leave ``node``'s colors as they were, so its
-    entries are set to their final values at once: a sole continuation
-    edge hands the carried color's entry to the edge just recolored, and
-    without a twin the old color's entry passes to the continuation.  Only
-    ``start`` and a terminal ``node`` get the general update, and only one
-    with a twin scans its edges.  On a direct call with ``new_color``
-    equal to the edge's color, every write is a no-op and the chain only
-    walks and draws.  The draw is ``rng.choice`` spelled out with
-    ``getrandbits``.  ``node``'s bucket move waits for the next step, which
-    updates it again as ``last``: no other bucket operation runs in
-    between, and a ``_RandomSet`` ``add`` then ``remove`` of one member is
-    the identity, so levels a -> b -> c need only ``remove`` from a and
-    ``add`` to c, even when a == c (which moves it to the end of its
-    bucket).
+    The colors, levels and bucket order end as ``color_edge`` would leave
+    them step by step.  ``node``'s index entry for the carried color gives
+    the continuation: none, one edge, or -1, and only -1 scans ``node``'s
+    edges, in insertion order, to draw among them with ``rng.choice``
+    spelled out as ``getrandbits``.  Its entry for the old color says
+    whether a twin, another edge of that color, stays.  Only the two ends
+    change level.  An interior vertex hands the carried color on and takes
+    the old one back, so its entries are set to their final values at once;
+    without a twin, its level goes up by one and straight back, which only
+    moves it to the end of its bucket.  ``start`` and the terminal ``node``
+    get the general update, which scans edges only at a twin.  With
+    ``new_color`` equal to the edge's color, every write is a no-op.
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
     adj = graph.adj
     colors = graph.colors
-    level, buckets, at, ends = cd._level, cd._buckets, cd._at, cd._ends
+    level, at, ends = cd._level, cd._at, cd._ends
     getrandbits = rng.getrandbits
-    visited: set[int] = set()
-    last = start
+    visited = {start}
     carry = new_color
     old = colors[idx]
-    # last's level change when its edge to node is recolored; start's index
-    # entries are settled now, before the chain can come back to it
+    # start is settled now, before the chain can come back to it
     delta = _recolor_entries(at[start], adj[start], colors, idx, old, carry)
-    # last sits in bucket `home`; `moved` says its level changed since then
-    home = level[start]
-    moved = False
-    total = 0
+    if delta:
+        cd._shift(start, delta)
     steps = 0
     while True:
-        visited.add(last)
         here = at[node]
         e = here.get(carry)
         # e == idx only when old == carry: then idx is node's sole such edge
@@ -293,43 +286,23 @@ def kempe_process(
             nxt = ends[out] ^ node
         steps += 1
         colors[idx] = carry
-        twin = here[old] < 0
-        # 0 when old == carry: twin is then exactly "a continuation exists"
-        variation = (nxt is not None) - twin
-        node_home = level[node]
-        if delta:
-            level[last] += delta
-            total += delta
-            moved = True
-        if variation:
-            level[node] = node_home + variation
-            total += variation
-        if moved:
-            if home > 0:
-                buckets[home].remove(last)
-            lvl = level[last]
-            if lvl > 0:
-                buckets[lvl].add(last)
-        if variation < 0 or nxt is None or node in visited:
-            _recolor_entries(here, adj[node], colors, idx, old, carry)
-            if variation:
-                if node_home > 0:
-                    buckets[node_home].remove(node)
-                lvl = node_home + variation
-                if lvl > 0:
-                    buckets[lvl].add(node)
-            cd.total += total
+        # a level can only drop at a chain end: a continuation keeps the carried color
+        if nxt is None or node in visited:
+            delta = _recolor_entries(here, adj[node], colors, idx, old, carry)
+            if delta:
+                cd._shift(node, delta)
             return steps
         # entries after the next step gives `out` the old color
         # (both are no-ops when old == carry: e and here[old] are then -1)
         if e >= 0:
             here[carry] = idx
-        if not twin:
+        if here[old] >= 0:
             here[old] = out
-        last, node = node, nxt
+            if level[node] > 0:
+                cd._shift(node, 0)
+        visited.add(node)
+        node = nxt
         carry, old = old, carry
-        delta = twin - 1
-        home, moved = node_home, variation != 0
         idx = out
 
 

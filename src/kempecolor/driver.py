@@ -6,7 +6,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .conflicts import ConflictDictionary, kempe_start
+from .conflicts import ConflictDictionary, conflict_level, kempe_start
 from .graph import Graph
 from .precolor import greedy_precolor, random_precolor
 from .verifier import check_edge_coloring
@@ -39,7 +39,7 @@ class RunReport:
     passes: int
     wall_time: float
     final_conflictivity: int
-    seed: int | None
+    seed: int
 
 
 def heuristic_pass(
@@ -79,14 +79,19 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
     coloring can exist).  A reported success is always re-checked by the
     independent verifier; if that check fails, RuntimeError is raised
     instead of a report.  Identical graph and params (including seed)
-    give an identical report and final coloring.
+    give an identical report and final coloring.  Without a seed, one is
+    drawn from the system's entropy source and reported, so the run can be
+    replayed.
     """
     if params.colors < graph.max_degree():
         raise ParameterError(
             f"{params.colors} colors cannot properly color a graph "
             f"with maximum degree {graph.max_degree()}"
         )
-    rng = random.Random(params.seed)
+    seed = params.seed
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(64)
+    rng = random.Random(seed)
     precolor = greedy_precolor if params.precolor_mode == "greedy" else random_precolor
     start = time.perf_counter()
     success = False
@@ -98,7 +103,7 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
             success = True
             break
     wall = time.perf_counter() - start
-    final = ConflictDictionary(graph, params.colors).total
+    final = sum(conflict_level(graph, v) for v in range(graph.n))
     if success and not (final == 0 and check_edge_coloring(graph, params.colors)):
         raise RuntimeError("success reported for an improper coloring")
     return RunReport(
@@ -106,5 +111,5 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
         passes=passes,
         wall_time=wall,
         final_conflictivity=final,
-        seed=params.seed,
+        seed=seed,
     )

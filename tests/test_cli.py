@@ -43,6 +43,12 @@ def test_color_petersen_three_colors_fails(petersen_file, capsys):
     assert "success: false" in capsys.readouterr().out
 
 
+def test_color_without_seed_prints_the_seed_it_used(k4_file, capsys):
+    assert main(["color", k4_file, "-D", "3"]) == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("seed: ")]
+    assert line[len("seed: "):].isdigit()
+
+
 def test_color_too_few_colors_is_usage_error(k4_file):
     assert main(["color", k4_file, "-D", "2", "--seed", "0"]) == 2
 

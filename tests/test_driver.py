@@ -1,8 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import kempecolor.driver as driver
 from kempecolor import (
+    ConflictDictionary,
     HeuristicParams,
     ParameterError,
     apply_heuristic,
@@ -46,6 +49,37 @@ def test_petersen_fails_with_three_colors_after_l_passes(petersen):
     assert not report.success
     assert report.passes == 50
     assert report.final_conflictivity > 0
+    # the final recount agrees with a dictionary built on the coloring left
+    assert report.final_conflictivity == ConflictDictionary(petersen, 3).total
+
+
+def test_one_dictionary_build_per_pass(petersen, monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return ConflictDictionary(*args)
+
+    monkeypatch.setattr(driver, "ConflictDictionary", counting)
+    report = apply_heuristic(petersen, HeuristicParams(colors=3, seed=0, iteration_limit=4))
+    assert report.passes == 4
+    assert len(builds) == 4
+
+
+def edge_colors(g):
+    return [g.edge_color(u, v) for u, v in g.edges()]
+
+
+def test_unseeded_run_reports_a_seed_that_replays_it(petersen):
+    params = HeuristicParams(colors=3, iteration_limit=3)
+    first = apply_heuristic(petersen, params)
+    first_coloring = edge_colors(petersen)
+    assert isinstance(first.seed, int)
+    again = apply_heuristic(petersen, replace(params, seed=first.seed))
+    assert again.seed == first.seed
+    assert edge_colors(petersen) == first_coloring
+    assert again.passes == first.passes
+    assert again.final_conflictivity == first.final_conflictivity
 
 
 def test_petersen_succeeds_with_four_colors(petersen):

@@ -399,6 +399,21 @@ def test_interior_vertex_back_at_its_level_moves_to_bucket_end():
     assert list(cd._buckets[1]) == [8, 5, 1]
 
 
+def test_interior_vertex_with_a_twin_keeps_its_bucket_place():
+    # as above, but vertex 1 keeps a second 0-edge (to 5): its level stays 2
+    # at both steps, so it keeps its place ahead of 6 and 10 in bucket 2
+    g = colored(14, [
+        ((0, 1), 0), ((1, 2), 1), ((1, 3), 2), ((1, 4), 2), ((1, 5), 0),
+        ((6, 7), 0), ((6, 8), 0), ((6, 9), 0), ((10, 11), 1), ((10, 12), 1), ((10, 13), 1),
+    ])
+    before = ConflictDictionary(copy_colored(g), 3)
+    assert list(before._buckets[2]) == [1, 6, 10]
+    steps, cd = run_against_reference(g, 3, 0, 1, 1, seed=0)
+    assert steps == 2
+    assert cd.level(1) == 2
+    assert list(cd._buckets[2]) == [1, 6, 10]
+
+
 def test_no_op_first_write_keeps_walking():
     # new color == the edge's color: every write is a no-op, but the walk
     # still follows the 0-edge from 1 to 2 and stops at 2, with no 0-edge on
