@@ -12,7 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 
-from .driver import HeuristicParams, RunReport, apply_heuristic
+from .driver import HeuristicParams, ParameterError, RunReport, apply_heuristic
 from .generators import random_regular_graph
 
 CSV_FIELDS = [
@@ -85,6 +85,8 @@ def run_sweep(
 
     Without ``params`` every run uses the ``HeuristicParams`` defaults.
     """
+    if not (degrees and sizes and instances > 0):
+        raise ParameterError("a sweep needs a degree, a size and at least one instance")
     if params is None:
         params = HeuristicParams(colors=0)
     records = []

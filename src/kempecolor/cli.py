@@ -121,11 +121,10 @@ def cmd_bench(args) -> int:
         print("error: --degrees and --sizes must be comma-separated integers",
               file=sys.stderr)
         return EXIT_USAGE
-    seed = args.seed if args.seed is not None else 0
     try:
-        # each instance sets its own colors and seed
+        # each instance sets its own colors and seed; the base seed defaults to 0
         params = _params(args, colors=0)
-        records = run_sweep(degrees, sizes, args.instances, seed, params)
+        records = run_sweep(degrees, sizes, args.instances, args.seed or 0, params)
     except (GraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -212,8 +212,6 @@ def _recolor_entries(
     its level change.  The vertex's edges are scanned only when another
     edge keeps ``old`` (a twin), to find whether exactly one does.
     """
-    if old == new:
-        return 0
     gained = new in here
     here[new] = -1 if gained else idx
     if here[old] >= 0:
@@ -246,12 +244,14 @@ def kempe_process(
     the old one back, so its entries are set to their final values at once;
     without a twin, its level goes up by one and straight back, which only
     moves it to the end of its bucket.  ``start`` and the terminal ``node``
-    get the general update, which scans edges only at a twin.  With
-    ``new_color`` equal to the edge's color, every write is a no-op.
+    get the general update, which scans edges only at a twin.  A chain swaps
+    two distinct colors: a ``new_color`` equal to the edge's raises GraphError.
     """
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
+    if graph.colors[idx] == new_color:
+        raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
     adj = graph.adj
     colors = graph.colors
     level, at, ends = cd._level, cd._at, cd._ends
@@ -263,12 +263,10 @@ def kempe_process(
     delta = _recolor_entries(at[start], adj[start], colors, idx, old, carry)
     if delta:
         cd._shift(start, delta)
-    steps = 0
     while True:
         here = at[node]
         e = here.get(carry)
-        # e == idx only when old == carry: then idx is node's sole such edge
-        if e is None or e == idx:
+        if e is None:
             nxt = None
         else:
             if e >= 0:
@@ -276,7 +274,7 @@ def kempe_process(
                 while getrandbits(1):
                     pass
             else:
-                many = [i for i in adj[node].values() if i != idx and colors[i] == carry]
+                many = [i for i in adj[node].values() if colors[i] == carry]
                 n = len(many)
                 bits = n.bit_length()
                 r = getrandbits(bits)
@@ -284,16 +282,14 @@ def kempe_process(
                     r = getrandbits(bits)
                 out = many[r]
             nxt = ends[out] ^ node
-        steps += 1
         colors[idx] = carry
         # a level can only drop at a chain end: a continuation keeps the carried color
         if nxt is None or node in visited:
             delta = _recolor_entries(here, adj[node], colors, idx, old, carry)
             if delta:
                 cd._shift(node, delta)
-            return steps
+            return len(visited)
         # entries after the next step gives `out` the old color
-        # (both are no-ops when old == carry: e and here[old] are then -1)
         if e >= 0:
             here[carry] = idx
         if here[old] >= 0:

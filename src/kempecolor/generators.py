@@ -16,10 +16,12 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
     loops and parallel edges, and the leftover stubs are re-shuffled and
     paired again.  When the leftovers cannot be completed (every pair
     among them is a loop or an existing edge), the whole attempt restarts.
-    A cap of 10*n attempts guards pathological inputs.
+    At most 10*n attempts are made, and n may not exceed ``MAX_VERTICES``.
     """
     if d < 0 or n < 0:
         raise GraphError("n and d must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"random regular graph has {n} vertices, more than the cap of {MAX_VERTICES}")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
     if d >= n and not (n == 0 and d == 0):

@@ -210,8 +210,14 @@ def test_bench_invalid_cell_is_usage_error(tmp_path):
     assert status == 2
 
 
-@pytest.mark.parametrize("flag", [["-R", "-1"], ["-L", "0"]])
-def test_bench_bad_limit_is_usage_error(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag",
+    [["-R", "-1"], ["-L", "0"], ["--instances", "0"], ["--degrees", ","], ["--sizes", "12"]],
+)
+def test_bench_bad_limit_is_usage_error(tmp_path, capsys, monkeypatch, flag):
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "MAX_VERTICES", 10)  # so that 12 vertices are over the cap
     status = main(
         ["bench", "--degrees", "3", "--sizes", "4", "--instances", "1", *flag,
          "--csv", str(tmp_path / "x.csv")]

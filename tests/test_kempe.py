@@ -286,7 +286,7 @@ def assert_chains_match(g, colors, rng, operations, from_conflicts):
 
     Each chain starts at a sampled conflicting vertex (``kempe_start``) if
     ``from_conflicts`` and conflicts remain, otherwise at a random edge
-    with a random new color (``kempe_process``).
+    recolored to a random color other than its own (``kempe_process``).
     """
     twin = copy_colored(g)
     cd, cd_twin = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
@@ -300,7 +300,8 @@ def assert_chains_match(g, colors, rng, operations, from_conflicts):
             ref_steps = reference_start(twin, cd_twin, colors, v, ref_rng)
         else:
             u, v = rng.choice(g.edges())
-            c = rng.randrange(colors)
+            c = rng.randrange(colors - 1)
+            c += c >= g.edge_color(u, v)
             steps = kempe_process(g, cd, u, v, c, fast_rng)
             ref_steps = reference_process(twin, cd_twin, u, v, c, ref_rng)
         assert steps == ref_steps
@@ -414,14 +415,18 @@ def test_interior_vertex_with_a_twin_keeps_its_bucket_place():
     assert list(cd._buckets[2]) == [1, 6, 10]
 
 
-def test_no_op_first_write_keeps_walking():
-    # new color == the edge's color: every write is a no-op, but the walk
-    # still follows the 0-edge from 1 to 2 and stops at 2, with no 0-edge on
+def test_kempe_process_rejects_the_edges_own_color():
+    # a chain swaps two distinct colors: recoloring the 0-edge (0, 1) to 0
+    # is refused before any write or draw
     g = path_graph([0, 0, 1])
-    steps, cd = run_against_reference(g, 3, 0, 1, 0, seed=0)
-    assert steps == 2
-    assert [g.edge_color(u, v) for u, v in g.edges()] == [0, 0, 1]
-    assert list(cd._buckets[1]) == [1]
+    cd = ConflictDictionary(g, 3)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(GraphError, match="already has color 0"):
+        kempe_process(g, cd, 0, 1, 0, rng)
+    assert edge_colors(g) == [0, 0, 1]
+    cd.check_consistency()
+    assert rng.getstate() == state
 
 
 def test_chain_closing_on_its_start_vertex():
