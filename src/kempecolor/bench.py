@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .driver import HeuristicParams, ParameterError, RunReport, apply_heuristic
-from .generators import random_regular_graph
+from .generators import check_regular_parameters, random_regular_graph
 
 CSV_FIELDS = [
     "kind",
@@ -84,9 +84,13 @@ def run_sweep(
     """Run every (degree, size, instance); ``params`` as in ``run_instance``.
 
     Without ``params`` every run uses the ``HeuristicParams`` defaults.
+    Every (degree, size) cell is checked before the first instance runs.
     """
     if not (degrees and sizes and instances > 0):
         raise ParameterError("a sweep needs a degree, a size and at least one instance")
+    for d in sorted(degrees):
+        for n in sorted(sizes):
+            check_regular_parameters(n, d)
     if params is None:
         params = HeuristicParams(colors=0)
     records = []

@@ -14,7 +14,13 @@ colors alternate between the carried old color and the chosen new color,
 and recolors each traversed edge.  It stops when a recoloring lowers the
 conflict level of the vertex just reached, when no continuation edge
 exists, or when the chain revisits a vertex (which bounds the number of
-recolorings by n and catches two-colored cycles).
+recolorings by n and catches two-colored cycles).  Only the start vertex
+and the vertices with three or more edges of the chain's two colors can
+be revisited first, so only those are remembered.
+
+Every random draw is the ``getrandbits`` rejection loop that CPython's
+``Random._randbelow`` runs for ``randrange`` and ``choice``, written out
+so that seeded runs draw exactly what those methods would.
 """
 
 from __future__ import annotations
@@ -32,12 +38,21 @@ def conflict_level(graph: Graph, v: int) -> int:
     return deg - graph.distinct_incident_colors(v)
 
 
-class _RandomSet:
-    """Set with O(1) insert/remove and uniform member sampling.
+def _randbelow(getrandbits, n: int) -> int:
+    """``Random.randrange(n)`` for n > 0, with the same ``getrandbits`` calls."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
-    ``add(x)`` then ``remove(x)`` leaves it exactly as it was, so a level
-    that goes up by one and straight back only moves its vertex to the end
-    of its bucket; ``kempe_process`` relies on that for interior vertices.
+
+class _RandomSet:
+    """One level's bucket: a member list plus each member's position in it.
+
+    ``ConflictDictionary._shift`` edits both in place.  A member leaves by
+    taking the last member into its slot, and joins at the end, so leaving
+    and rejoining the same bucket only swaps it with the last member.
     """
 
     __slots__ = ("_items", "_pos")
@@ -56,16 +71,6 @@ class _RandomSet:
         if x not in self._pos:
             self._pos[x] = len(self._items)
             self._items.append(x)
-
-    def remove(self, x: int) -> None:
-        i = self._pos.pop(x)
-        last = self._items.pop()
-        if i < len(self._items):
-            self._items[i] = last
-            self._pos[last] = i
-
-    def sample(self, rng: random.Random) -> int:
-        return self._items[rng.randrange(len(self._items))]
 
 
 class ConflictDictionary:
@@ -101,6 +106,8 @@ class ConflictDictionary:
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
+        # the buckets' member lists, highest level first
+        self._descending = [self._buckets[lvl]._items for lvl in reversed(self._buckets)]
         self.total = 0
         for v, lvl in enumerate(level):
             if lvl > 0:
@@ -116,16 +123,20 @@ class ConflictDictionary:
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
-        best = 0
-        for lvl, b in self._buckets.items():
-            if len(b) > 0 and lvl > best:
-                best = lvl
-        if best == 0:
-            raise GraphError("no conflicting vertices (check total > 0 first)")
-        return best
+        for i, items in enumerate(self._descending):
+            if items:
+                return len(self._descending) - i
+        raise GraphError("no conflicting vertices (check total > 0 first)")
 
     def sample_max_level(self, rng: random.Random) -> int:
-        return self._buckets[self.max_level()].sample(rng)
+        """A uniform member of the highest nonempty bucket; error if none.
+
+        Draws what ``rng.randrange`` over the bucket's size would draw.
+        """
+        for items in self._descending:
+            if items:
+                return items[_randbelow(rng.getrandbits, len(items))]
+        raise GraphError("no conflicting vertices (check total > 0 first)")
 
     def color_edge(self, u: int, v: int, color: int) -> int:
         """Recolor edge {u, v} and update both endpoints.
@@ -162,18 +173,33 @@ class ConflictDictionary:
         """Add delta to v's level and move v to the end of its new bucket.
 
         After ``__init__`` this is the only writer of levels, buckets and
-        the total.  With delta 0, v only moves to the end of its bucket.
+        the total.  v leaves its bucket by taking the last member into its
+        slot, so with delta 0 it only swaps places with that last member.
         """
         level, buckets = self._level, self._buckets
         lvl = level[v]
         if lvl > 0:
-            buckets[lvl].remove(v)
+            b = buckets[lvl]
+            items, pos = b._items, b._pos
+            last = items[-1]
+            if not delta:
+                i = pos[v]
+                items[i], items[-1] = last, v
+                pos[last], pos[v] = i, len(items) - 1
+                return
+            i = pos.pop(v)
+            items.pop()
+            if last != v:
+                items[i] = last
+                pos[last] = i
         if delta:
             lvl += delta
             level[v] = lvl
             self.total += delta
-        if lvl > 0:
-            buckets[lvl].add(v)
+            if lvl > 0:
+                b = buckets[lvl]
+                b._pos[v] = len(b._items)
+                b._items.append(v)
 
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.
@@ -196,7 +222,7 @@ class ConflictDictionary:
             raise RuntimeError("stale conflict levels")
         if self.total != sum(levels):
             raise RuntimeError("stale total")
-        nonempty = {lvl for lvl, b in self._buckets.items() if len(b) > 0}
+        nonempty = {lvl for lvl, b in self._buckets.items() if b._items}
         for lvl in set(levels) | nonempty:
             want = {v for v, x in enumerate(levels) if x == lvl} if lvl > 0 else set()
             if self.bucket_members(lvl) != want:
@@ -231,8 +257,8 @@ def kempe_process(
     ``new_color``, then the color the previous recoloring displaced) and
     moves on to a uniform random neighbour of ``node``, other than the one
     it came from, whose edge has the carried color.  Returns the number of
-    recolorings performed (at most n: every iteration consumes a vertex
-    never seen before).
+    recolorings performed (at most n: every step but the last enters a
+    vertex never seen before).
 
     The colors, levels and bucket order end as ``color_edge`` would leave
     them step by step.  ``node``'s index entry for the carried color gives
@@ -246,17 +272,35 @@ def kempe_process(
     moves it to the end of its bucket.  ``start`` and the terminal ``node``
     get the general update, which scans edges only at a twin.  A chain swaps
     two distinct colors: a ``new_color`` equal to the edge's raises GraphError.
+
+    The chain ends at its first revisit, and only ``start`` and branch
+    vertices are remembered to find it.  A vertex is a branch when, on
+    arrival, the carried color has several edges there or the old color
+    keeps a twin, that is when it has three or more edges of the two chain
+    colors.  Any other vertex has exactly two, the edges the chain came in
+    and went out by, and still exactly those two after the swap; so up to
+    the first revisit the chain is a simple path, and re-entering such a
+    vertex would need a third edge of those colors.  The first vertex a
+    chain repeats is therefore ``start`` or a branch vertex.  A swap keeps
+    a vertex's count of chain-colored edges, so a branch vertex is still a
+    branch when it is re-entered, and membership is tested only there.
     """
-    if not (0 <= new_color < cd.colors):
-        raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     idx = graph.edge_index(start, node)
     if graph.colors[idx] == new_color:
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
+    return _chain(graph, cd, start, node, idx, new_color, rng)
+
+
+def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
+    """``kempe_process`` for edge id ``idx`` = {start, node}, whose color is not ``new_color``."""
+    if not (0 <= new_color < cd.colors):
+        raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     adj = graph.adj
     colors = graph.colors
     level, at, ends = cd._level, cd._at, cd._ends
     getrandbits = rng.getrandbits
-    visited = {start}
+    branches = {start}
+    steps = 1
     carry = new_color
     old = colors[idx]
     # start is settled now, before the chain can come back to it
@@ -267,39 +311,37 @@ def kempe_process(
         here = at[node]
         e = here.get(carry)
         if e is None:
-            nxt = None
+            break
+        if e >= 0:
+            out = e
+            while getrandbits(1):
+                pass
         else:
-            if e >= 0:
-                out = e
-                while getrandbits(1):
-                    pass
-            else:
-                many = [i for i in adj[node].values() if colors[i] == carry]
-                n = len(many)
-                bits = n.bit_length()
-                r = getrandbits(bits)
-                while r >= n:
-                    r = getrandbits(bits)
-                out = many[r]
-            nxt = ends[out] ^ node
+            many = [i for i in adj[node].values() if colors[i] == carry]
+            out = many[_randbelow(getrandbits, len(many))]
+        single = here[old] >= 0
+        if e < 0 or not single or node == start:
+            if node in branches:
+                break
+            branches.add(node)
         colors[idx] = carry
-        # a level can only drop at a chain end: a continuation keeps the carried color
-        if nxt is None or node in visited:
-            delta = _recolor_entries(here, adj[node], colors, idx, old, carry)
-            if delta:
-                cd._shift(node, delta)
-            return len(visited)
         # entries after the next step gives `out` the old color
         if e >= 0:
             here[carry] = idx
-        if here[old] >= 0:
+        if single:
             here[old] = out
             if level[node] > 0:
                 cd._shift(node, 0)
-        visited.add(node)
-        node = nxt
+        node = ends[out] ^ node
         carry, old = old, carry
         idx = out
+        steps += 1
+    # a level can only drop at a chain end: a continuation keeps the carried color
+    colors[idx] = carry
+    delta = _recolor_entries(here, adj[node], colors, idx, old, carry)
+    if delta:
+        cd._shift(node, delta)
+    return steps
 
 
 def kempe_start(
@@ -308,20 +350,20 @@ def kempe_start(
     """Launch one chain from conflicting vertex v; no-op if v is unconflicting.
 
     Scans v's incident edges: the first sighting of a color marks it used,
-    a second sighting marks that neighbor as reachable through a
-    repeated-color edge.  One such neighbor is chosen uniformly, and the
-    new chain color is drawn uniformly from the colors absent at v.  The
-    colors at v must lie in [0, num_colors), as the dictionary's do.
+    a second sighting marks that edge as a repeated-color edge.  One such
+    edge is chosen uniformly, and the new chain color is drawn uniformly
+    from the colors absent at v, with the draws ``rng.choice`` would make.
+    The colors at v must lie in [0, num_colors), as the dictionary's do.
     Returns the number of recolorings performed.
     """
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
     colors = graph.colors
     seen: set[int] = set()
     repeated: list[int] = []
-    for w, idx in graph.adj[v].items():
+    for idx in graph.adj[v].values():
         c = colors[idx]
         if c in seen:
-            repeated.append(w)
+            repeated.append(idx)
         else:
             seen.add(c)
     if not repeated:
@@ -331,11 +373,12 @@ def kempe_start(
         raise GraphError(
             f"vertex {v} has degree {deg} > {num_colors} colors: no free color"
         )
-    node = rng.choice(repeated)
-    # rng.choice over the ascending free colors, found by rank
-    new_color = rng.randrange(free)
+    getrandbits = rng.getrandbits
+    idx = repeated[_randbelow(getrandbits, len(repeated))]
+    # the free color of that rank among the ascending free colors
+    new_color = _randbelow(getrandbits, free)
     for c in sorted(seen):
         if c > new_color:
             break
         new_color += 1
-    return kempe_process(graph, cd, v, node, new_color, rng)
+    return _chain(graph, cd, v, cd._ends[idx] ^ v, idx, new_color, rng)

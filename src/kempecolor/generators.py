@@ -9,14 +9,11 @@ from math import comb
 from .graph import MAX_VERTICES, Graph, GraphError
 
 
-def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
-    """Random simple d-regular graph on n vertices via stub pairing.
+def check_regular_parameters(n: int, d: int) -> None:
+    """Raise GraphError unless ``random_regular_graph(n, d, ...)`` may be asked for.
 
-    Each vertex gets d stubs; a shuffled pass pairs them up, discarding
-    loops and parallel edges, and the leftover stubs are re-shuffled and
-    paired again.  When the leftovers cannot be completed (every pair
-    among them is a loop or an existing edge), the whole attempt restarts.
-    At most 10*n attempts are made, and n may not exceed ``MAX_VERTICES``.
+    n and d must be non-negative, n at most ``MAX_VERTICES``, n*d even,
+    and d below n (or both 0).
     """
     if d < 0 or n < 0:
         raise GraphError("n and d must be non-negative")
@@ -26,6 +23,19 @@ def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
     if d >= n and not (n == 0 and d == 0):
         raise GraphError(f"degree {d} requires more than {n} vertices")
+
+
+def random_regular_graph(n: int, d: int, rng: random.Random) -> Graph:
+    """Random simple d-regular graph on n vertices via stub pairing.
+
+    Each vertex gets d stubs; a shuffled pass pairs them up, discarding
+    loops and parallel edges, and the leftover stubs are re-shuffled and
+    paired again.  When the leftovers cannot be completed (every pair
+    among them is a loop or an existing edge), the whole attempt restarts.
+    At most 10*n attempts are made; ``check_regular_parameters`` says
+    which n and d are accepted.
+    """
+    check_regular_parameters(n, d)
     if d == 0:
         return Graph(n, [])
 

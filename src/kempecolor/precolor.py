@@ -17,20 +17,28 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     Each vertex keeps its used colors as an int bitmask.  The free color
     is drawn as ``rng.choice`` over the ascending free colors would draw
     it (one ``randrange`` of their count), then found by stepping past
-    the used colors at or below it, so no D-long list is built.
+    the used colors at or below it, so no D-long list is built.  Each
+    ``randrange(k)`` is written out as the ``getrandbits`` loop that
+    ``Random._randbelow`` runs, so the draws are the same.
     """
     graph.clear_colors()
     adj = graph.adj
     colors = graph.colors
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     used = [0] * graph.n
     edges = graph.edges()
+    if edges and num_colors < 1:
+        raise ValueError(f"cannot color edges with {num_colors} colors")
     edges.sort()
     for u, v in edges:
         taken = used[u] | used[v]
         free = num_colors - taken.bit_count()
+        k = free if free > 0 else num_colors
+        bits = k.bit_length()
+        c = getrandbits(bits)
+        while c >= k:
+            c = getrandbits(bits)
         if free > 0:
-            c = randrange(free)
             # the c-th free color: each used color at or below it shifts it up
             while taken:
                 low = taken & -taken
@@ -38,8 +46,6 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
                     break
                 c += 1
                 taken ^= low
-        else:
-            c = randrange(num_colors)
         colors[adj[u][v]] = c
         bit = 1 << c
         used[u] |= bit

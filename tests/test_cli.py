@@ -226,3 +226,29 @@ def test_bench_bad_limit_is_usage_error(tmp_path, capsys, monkeypatch, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_checks_every_cell_before_running_any(tmp_path, capsys, monkeypatch):
+    # n = 12 is over the cap, so the n = 10 cell must not run either
+    import kempecolor.bench as bench
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "MAX_VERTICES", 10)
+    calls = []
+    run_instance = bench.run_instance
+
+    def counted(*args):
+        calls.append(args)
+        return run_instance(*args)
+
+    monkeypatch.setattr(bench, "run_instance", counted)
+    status = main(
+        ["bench", "--degrees", "3", "--sizes", "10,12", "--instances", "2",
+         "--csv", str(tmp_path / "x.csv")]
+    )
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "12 vertices, more than the cap of 10" in err
+    assert calls == []
+    assert not (tmp_path / "x.csv").exists()

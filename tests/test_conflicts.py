@@ -249,3 +249,25 @@ def test_check_consistency_raises_on_stale_color_index():
     cd._at[0][0] = 1
     with pytest.raises(RuntimeError, match="color index"):
         cd.check_consistency()
+
+
+def test_sample_max_level_draws_as_randrange():
+    # `size` monochromatic 3-stars make the top bucket, level 2; a
+    # monochromatic 2-path sits below it at level 1, and a properly colored
+    # 4-star makes an empty bucket 3 above it
+    for size in range(1, 71):
+        edges = [((0, i), i - 1) for i in range(1, 5)] + [((5, 6), 0), ((6, 7), 0)]
+        for k in range(size):
+            hub = 8 + 4 * k
+            edges += [((hub, hub + j), 0) for j in (1, 2, 3)]
+        g = Graph(8 + 4 * size, [e for e, _ in edges])
+        for (u, v), c in edges:
+            g.set_edge_color(u, v, c)
+        cd = ConflictDictionary(g, 4)
+        assert cd.max_level() == 2
+        members = list(cd._buckets[2])
+        assert len(members) == size
+        for seed in range(8):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert cd.sample_max_level(rng) == members[ref.randrange(size)]
+            assert rng.getstate() == ref.getstate()

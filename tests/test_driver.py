@@ -10,7 +10,9 @@ from kempecolor import (
     ParameterError,
     apply_heuristic,
     check_edge_coloring,
+    greedy_precolor,
     heuristic_pass,
+    random_regular_graph,
 )
 
 
@@ -155,3 +157,25 @@ def test_success_recheck_holds_under_optimize(run_optimized):
         "    print('reported:', report.success, report.final_conflictivity)\n"
     )
     assert run_optimized(script) == "raised: success reported for an improper coloring\n"
+
+
+class BitsOnlyRandom(random.Random):
+    """A generator whose Python-level draw methods raise: only getrandbits works."""
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("randrange called on the search path")
+
+    choice = _randbelow = randrange
+
+
+@pytest.mark.parametrize("n, d", [(200, 3), (60, 15)])
+def test_search_draws_only_with_getrandbits(n, d):
+    # greedy pre-coloring and a pass draw through getrandbits alone, the same
+    # draws randrange and choice would make
+    g = random_regular_graph(n, d, random.Random(n))
+    runs = []
+    for rng in (random.Random(7), BitsOnlyRandom(7)):
+        greedy_precolor(g, d, rng)
+        solved = heuristic_pass(g, d, 50, rng)
+        runs.append((list(g.colors), solved, rng.getstate()))
+    assert runs[0] == runs[1]

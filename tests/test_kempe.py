@@ -439,6 +439,18 @@ def test_chain_closing_on_its_start_vertex():
     assert [g.edge_color(i, (i + 1) % n) for i in range(n)] == [(i + 1) % 2 for i in range(n)]
 
 
+
+def test_chain_closing_on_its_start_vertex_through_its_last_old_edge():
+    # odd triangle with s = 0 at level 1: the chain comes back to s along its
+    # last 0-edge while s has a single 1-edge, so on arrival s has no third
+    # edge of the two colors, and only remembering the start stops the chain
+    g = colored(3, [((0, 1), 0), ((1, 2), 1), ((2, 0), 0)])
+    steps, cd = run_against_reference(g, 2, 0, 1, 1, seed=0)
+    assert steps == 3
+    assert edge_colors(g) == [1, 0, 1]
+    assert cd.level(0) == 1
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
 def test_chain_draws_match_reference_for_candidate_counts(width):
     # start 0 -> hub 1, which has `width` 1-edges to vertices y; each y has
@@ -469,3 +481,22 @@ def test_inlined_draw_matches_random_choice():
             want = ref.choice(list(range(2, n + 2)))
             assert [y for y in range(2, n + 2) if g.edge_color(1, y) == 0] == [want]
             assert rng.getstate() == ref.getstate()
+
+
+def test_chain_closing_at_a_vertex_with_two_edges_of_the_carried_color():
+    # b has two 1-edges when the chain arrives carrying 1; the chain goes
+    # round b-p-q (or b-q-p) and stops on re-entering b
+    g = colored(4, [((0, 1), 0), ((1, 2), 1), ((1, 3), 1), ((2, 3), 0)])
+    for seed in range(8):
+        steps, _ = run_against_reference(copy_colored(g), 2, 0, 1, 1, seed)
+        assert steps == 4
+
+
+def test_chain_closing_at_a_vertex_whose_old_color_has_a_twin():
+    # b keeps a second 0-edge (to t) when the chain arrives; the chain goes
+    # b-p-q-t and stops on re-entering b through t
+    s, b, t, p, q = range(5)
+    g = colored(5, [((s, b), 0), ((b, t), 0), ((b, p), 1), ((p, q), 0), ((q, t), 1)])
+    steps, _ = run_against_reference(g, 2, s, b, 1, seed=0)
+    assert steps == 5
+    assert [g.edge_color(*e) for e in [(s, b), (b, t), (b, p), (p, q), (q, t)]] == [1, 1, 0, 1, 0]
