@@ -4,10 +4,11 @@ The conflict level of a vertex is its degree minus the number of distinct
 colors on its incident edges (0 means locally proper).  The dictionary
 buckets every vertex with level >= 1 by its level and keeps the total
 conflictivity (sum of all levels) cached, so the search loop gets O(1)
-reads.  It also indexes each vertex's edges by color, one entry per color
-present there, so a chain step finds the edge of a given color at a vertex
-in O(1) expected time; it scans the vertex's edges only where that color
-repeats.
+reads.  It also indexes each vertex's edges by color, one slot per (vertex,
+color) pair in a flat list, so a chain step finds the edge of a given
+color at a vertex with one list read; it scans the vertex's edges only
+where that color repeats.  When there are too many colors for that list
+to stay O(m), the same slots live in a dict that holds only the filled ones.
 
 A Kempe chain starts at a conflicting vertex, walks along edges whose
 colors alternate between the carried old color and the chosen new color,
@@ -26,6 +27,7 @@ so that seeded runs draw exactly what those methods would.
 from __future__ import annotations
 
 import random
+from array import array
 
 from .graph import Graph, GraphError, UncoloredEdgeError
 
@@ -45,6 +47,31 @@ def _randbelow(getrandbits, n: int) -> int:
     while r >= n:
         r = getrandbits(bits)
     return r
+
+
+class _SparseIndex(dict):
+    """The color index as a dict of its filled slots; an empty slot reads None."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> None:
+        return None
+
+
+def _new_index(graph: Graph, colors: int) -> list | _SparseIndex:
+    """An empty color index: a flat list while it has at most 4 slots per edge."""
+    slots = graph.n * colors
+    if slots <= 4 * graph.m:
+        return [None] * slots
+    return _SparseIndex()
+
+
+def _clear(at: list | _SparseIndex, slot: int) -> None:
+    """Empty one slot of the color index."""
+    if at.__class__ is list:
+        at[slot] = None
+    else:
+        del at[slot]
 
 
 class _RandomSet:
@@ -74,13 +101,17 @@ class _RandomSet:
 
 
 class ConflictDictionary:
-    """Levels, buckets and a per-vertex color index for a totally colored graph.
+    """Levels, buckets and a color index for a totally colored graph.
 
-    ``_at[v]`` maps each color present at v to the id of its edge when
-    exactly one edge of v has it, and to -1 when two or more do, so v's
-    level is ``len(adj[v]) - len(_at[v])``.  ``_ends[e]`` is the XOR of edge
-    e's endpoints: one endpoint gives the other.  Both take O(m) memory,
-    whatever the number of colors.
+    Slot ``v * colors + c`` of the color index ``_at`` holds the id of
+    v's edge of color c when exactly one edge of v has it, -1 when two or
+    more do, and None when none does, so v's level is its degree minus its
+    filled slots.  The index is a flat list while it has at most 4 slots
+    per edge (D = Δ on a regular graph has 2), and otherwise a dict of the
+    filled slots, so memory stays O(m) whatever the number of colors.
+    ``_ends[e]`` is the XOR of edge e's endpoints: one endpoint gives the
+    other.  It is an ``array``, with no int object per edge, so a chain
+    step touches few cache lines, and few more as n grows.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -93,16 +124,21 @@ class ConflictDictionary:
             # kempe_start's free-color rank walk assumes colors in [0, D)
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
-        at: list[dict[int, int]] = []
-        for around in graph.adj:
-            here: dict[int, int] = {}
+        at = _new_index(graph, colors)
+        level = []
+        for v, around in enumerate(graph.adj):
+            b = v * colors
+            distinct = 0
             for i in around.values():
-                c = edge_colors[i]
-                here[c] = -1 if c in here else i
-            at.append(here)
+                k = b + edge_colors[i]
+                if at[k] is None:
+                    at[k] = i
+                    distinct += 1
+                else:
+                    at[k] = -1
+            level.append(len(around) - distinct)
         self._at = at
-        self._ends = [u ^ v for u, v in graph.edges()]
-        level = [len(around) - len(here) for around, here in zip(graph.adj, at)]
+        self._ends = array("q", [u ^ v for u, v in graph.edges()])
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
@@ -144,7 +180,7 @@ class ConflictDictionary:
         Returns the conflict-level change at v, the second endpoint.  The
         validated single-edge form of the update that ``kempe_process``
         applies inline along a chain.  Each endpoint's change and index
-        entries come from a scan of its other edges, not from the index.
+        slots come from a scan of its other edges, not from the index.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
@@ -158,12 +194,12 @@ class ConflictDictionary:
             others = [i for i in self.graph.adj[x].values() if i != idx]
             joined = [i for i in others if colors[i] == color]
             left = [i for i in others if colors[i] == old]
-            here = self._at[x]
-            here[color] = -1 if joined else idx
+            at, b = self._at, x * self.colors
+            at[b + color] = -1 if joined else idx
             if len(left) == 1:
-                here[old] = left[0]
+                at[b + old] = left[0]
             elif not left:
-                del here[old]
+                _clear(at, b + old)
             delta = bool(joined) - bool(left)
             if delta:
                 self._shift(x, delta)
@@ -209,13 +245,14 @@ class ConflictDictionary:
         with the incremental updates it checks.
         """
         graph, colors = self.graph, self.colors
-        at: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        at = _new_index(graph, colors)
         for i, ((u, v), c) in enumerate(zip(graph.edges(), graph.colors)):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
             for x in (u, v):
-                at[x][c] = -1 if c in at[x] else i
-        if self._at != at or self._ends != [u ^ v for u, v in graph.edges()]:
+                k = x * colors + c
+                at[k] = i if at[k] is None else -1
+        if self._at != at or list(self._ends) != [u ^ v for u, v in graph.edges()]:
             raise RuntimeError("stale color index")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
         if self._level != levels:
@@ -229,22 +266,21 @@ class ConflictDictionary:
                 raise RuntimeError(f"bucket {lvl} out of sync")
 
 
-def _recolor_entries(
-    here: dict[int, int], around: dict[int, int], colors, idx: int, old: int, new: int
-) -> int:
+def _recolor_entries(at, b: int, around, colors, idx: int, old: int, new: int) -> int:
     """Update one vertex's color index for edge ``idx`` going from ``old`` to ``new``.
 
-    ``here`` and ``around`` are the vertex's index and adjacency.  Returns
-    its level change.  The vertex's edges are scanned only when another
-    edge keeps ``old`` (a twin), to find whether exactly one does.
+    The vertex's slots start at ``b`` in the index ``at``, and ``around`` is
+    its adjacency.  Returns its level change.  The vertex's edges are
+    scanned only when another edge keeps ``old`` (a twin), to find whether
+    exactly one does.
     """
-    gained = new in here
-    here[new] = -1 if gained else idx
-    if here[old] >= 0:
-        del here[old]
+    gained = at[b + new] is not None
+    at[b + new] = -1 if gained else idx
+    if at[b + old] >= 0:
+        _clear(at, b + old)
         return gained
     rest = [i for i in around.values() if i != idx and colors[i] == old]
-    here[old] = rest[0] if len(rest) == 1 else -1
+    at[b + old] = rest[0] if len(rest) == 1 else -1
     return gained - 1
 
 
@@ -261,13 +297,13 @@ def kempe_process(
     vertex never seen before).
 
     The colors, levels and bucket order end as ``color_edge`` would leave
-    them step by step.  ``node``'s index entry for the carried color gives
+    them step by step.  ``node``'s index slot for the carried color gives
     the continuation: none, one edge, or -1, and only -1 scans ``node``'s
     edges, in insertion order, to draw among them with ``rng.choice``
-    spelled out as ``getrandbits``.  Its entry for the old color says
+    spelled out as ``getrandbits``.  Its slot for the old color says
     whether a twin, another edge of that color, stays.  Only the two ends
     change level.  An interior vertex hands the carried color on and takes
-    the old one back, so its entries are set to their final values at once;
+    the old one back, so its slots are set to their final values at once;
     without a twin, its level goes up by one and straight back, which only
     moves it to the end of its bucket.  ``start`` and the terminal ``node``
     get the general update, which scans edges only at a twin.  A chain swaps
@@ -299,17 +335,18 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
     colors = graph.colors
     level, at, ends = cd._level, cd._at, cd._ends
     getrandbits = rng.getrandbits
+    width = cd.colors  # index slots per vertex
     branches = {start}
     steps = 1
     carry = new_color
     old = colors[idx]
     # start is settled now, before the chain can come back to it
-    delta = _recolor_entries(at[start], adj[start], colors, idx, old, carry)
+    delta = _recolor_entries(at, start * width, adj[start], colors, idx, old, carry)
     if delta:
         cd._shift(start, delta)
     while True:
-        here = at[node]
-        e = here.get(carry)
+        b = node * width
+        e = at[b + carry]
         if e is None:
             break
         if e >= 0:
@@ -319,17 +356,17 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
         else:
             many = [i for i in adj[node].values() if colors[i] == carry]
             out = many[_randbelow(getrandbits, len(many))]
-        single = here[old] >= 0
+        single = at[b + old] >= 0
         if e < 0 or not single or node == start:
             if node in branches:
                 break
             branches.add(node)
         colors[idx] = carry
-        # entries after the next step gives `out` the old color
+        # slots after the next step gives `out` the old color
         if e >= 0:
-            here[carry] = idx
+            at[b + carry] = idx
         if single:
-            here[old] = out
+            at[b + old] = out
             if level[node] > 0:
                 cd._shift(node, 0)
         node = ends[out] ^ node
@@ -338,7 +375,7 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
         steps += 1
     # a level can only drop at a chain end: a continuation keeps the carried color
     colors[idx] = carry
-    delta = _recolor_entries(here, adj[node], colors, idx, old, carry)
+    delta = _recolor_entries(at, b, adj[node], colors, idx, old, carry)
     if delta:
         cd._shift(node, delta)
     return steps

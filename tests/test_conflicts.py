@@ -242,13 +242,30 @@ def test_check_consistency_raises_on_stale_bucket():
 
 
 def test_check_consistency_raises_on_stale_color_index():
-    # vertex 0 has two 0-edges, so its entry for color 0 must read -1
+    # vertex 0 has two 0-edges, so its slot for color 0 must read -1
     g = star([0, 0, 1])
     cd = ConflictDictionary(g, 3)
-    assert cd._at[0] == {0: -1, 1: 2}
-    cd._at[0][0] = 1
+    assert cd._at[0:3] == [-1, 2, None]
+    cd._at[0] = 1
     with pytest.raises(RuntimeError, match="color index"):
         cd.check_consistency()
+
+
+def test_color_index_is_flat_until_colors_outgrow_the_edges():
+    # n * D slots: 2 per edge at D = 3 on a cubic graph, 50 per edge at
+    # D = 75, where only the filled slots are kept; both read the same
+    g = random_regular_graph(20, 3, random.Random(4))
+    random_precolor(g, 3, random.Random(5))
+    flat, sparse = ConflictDictionary(g, 3), ConflictDictionary(g, 75)
+    assert len(flat._at) == 20 * 3
+    assert len(sparse._at) == 20 * 3 - flat._at.count(None)
+    for v in range(20):
+        for c in range(3):
+            assert sparse._at[v * 75 + c] == flat._at[v * 3 + c]
+        assert sparse._at[v * 75 + 3] is None
+        assert flat.level(v) == sparse.level(v) == conflict_level(g, v)
+    flat.check_consistency()
+    sparse.check_consistency()
 
 
 def test_sample_max_level_draws_as_randrange():
