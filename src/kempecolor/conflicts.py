@@ -7,8 +7,8 @@ conflictivity (sum of all levels) cached, so the search loop gets O(1)
 reads.  It also indexes each vertex's edges by color, one slot per (vertex,
 color) pair in a flat list, so a chain step finds the edge of a given
 color at a vertex with one list read; it scans the vertex's edges only
-where that color repeats.  When there are too many colors for that list
-to stay O(m), the same slots live in a dict that holds only the filled ones.
+where that color repeats.  When that list would outgrow a dict per
+vertex, the same slots live in a dict that holds only the filled ones.
 
 A Kempe chain starts at a conflicting vertex, walks along edges whose
 colors alternate between the carried old color and the chosen new color,
@@ -27,7 +27,6 @@ so that seeded runs draw exactly what those methods would.
 from __future__ import annotations
 
 import random
-from array import array
 
 from .graph import Graph, GraphError, UncoloredEdgeError
 
@@ -59,9 +58,10 @@ class _SparseIndex(dict):
 
 
 def _new_index(graph: Graph, colors: int) -> list | _SparseIndex:
-    """An empty color index: a flat list while it has at most 4 slots per edge."""
+    """An empty color index: a flat list while it has at most 32 slots per
+    vertex plus 4 per edge, about what a dict per vertex would take."""
     slots = graph.n * colors
-    if slots <= 4 * graph.m:
+    if slots <= 32 * graph.n + 4 * graph.m:
         return [None] * slots
     return _SparseIndex()
 
@@ -74,44 +74,23 @@ def _clear(at: list | _SparseIndex, slot: int) -> None:
         del at[slot]
 
 
-class _RandomSet:
-    """One level's bucket: a member list plus each member's position in it.
-
-    ``ConflictDictionary._shift`` edits both in place.  A member leaves by
-    taking the last member into its slot, and joins at the end, so leaving
-    and rejoining the same bucket only swaps it with the last member.
-    """
-
-    __slots__ = ("_items", "_pos")
-
-    def __init__(self):
-        self._items: list[int] = []
-        self._pos: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def add(self, x: int) -> None:
-        if x not in self._pos:
-            self._pos[x] = len(self._items)
-            self._items.append(x)
-
-
 class ConflictDictionary:
     """Levels, buckets and a color index for a totally colored graph.
 
     Slot ``v * colors + c`` of the color index ``_at`` holds the id of
     v's edge of color c when exactly one edge of v has it, -1 when two or
     more do, and None when none does, so v's level is its degree minus its
-    filled slots.  The index is a flat list while it has at most 4 slots
-    per edge (D = Δ on a regular graph has 2), and otherwise a dict of the
-    filled slots, so memory stays O(m) whatever the number of colors.
+    filled slots.  The index is a flat list while it has at most 32 slots
+    per vertex plus 4 per edge, about the size of a small dict per vertex
+    (on a regular graph, any D up to 2Δ + 32), and otherwise a dict of the
+    filled slots, so memory stays O(n + m) whatever the number of colors.
     ``_ends[e]`` is the XOR of edge e's endpoints: one endpoint gives the
-    other.  It is an ``array``, with no int object per edge, so a chain
-    step touches few cache lines, and few more as n grows.
+    other.
+
+    ``_buckets[lvl]`` lists the vertices at level lvl >= 1, and
+    ``_pos[v]`` is v's place in its list.  A vertex leaves its list by
+    taking the last member into its slot and joins at the end, so
+    sampling a bucket is one list read.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -138,16 +117,19 @@ class ConflictDictionary:
                     at[k] = -1
             level.append(len(around) - distinct)
         self._at = at
-        self._ends = array("q", [u ^ v for u, v in graph.edges()])
+        self._ends = [u ^ v for u, v in graph.edges()]
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
-        self._buckets = {lvl: _RandomSet() for lvl in range(1, graph.max_degree())}
-        # the buckets' member lists, highest level first
-        self._descending = [self._buckets[lvl]._items for lvl in reversed(self._buckets)]
+        self._buckets: dict[int, list[int]] = {lvl: [] for lvl in range(1, graph.max_degree())}
+        # the bucket lists, highest level first
+        self._descending = [self._buckets[lvl] for lvl in reversed(self._buckets)]
+        self._pos = [0] * graph.n
         self.total = 0
         for v, lvl in enumerate(level):
             if lvl > 0:
-                self._buckets[lvl].add(v)
+                members = self._buckets[lvl]
+                self._pos[v] = len(members)
+                members.append(v)
                 self.total += lvl
 
     def level(self, v: int) -> int:
@@ -212,30 +194,28 @@ class ConflictDictionary:
         the total.  v leaves its bucket by taking the last member into its
         slot, so with delta 0 it only swaps places with that last member.
         """
-        level, buckets = self._level, self._buckets
+        level, buckets, pos = self._level, self._buckets, self._pos
         lvl = level[v]
         if lvl > 0:
-            b = buckets[lvl]
-            items, pos = b._items, b._pos
-            last = items[-1]
+            members = buckets[lvl]
+            last = members[-1]
+            i = pos[v]
             if not delta:
-                i = pos[v]
-                items[i], items[-1] = last, v
-                pos[last], pos[v] = i, len(items) - 1
+                members[i], members[-1] = last, v
+                pos[last], pos[v] = i, len(members) - 1
                 return
-            i = pos.pop(v)
-            items.pop()
+            members.pop()
             if last != v:
-                items[i] = last
+                members[i] = last
                 pos[last] = i
         if delta:
             lvl += delta
             level[v] = lvl
             self.total += delta
             if lvl > 0:
-                b = buckets[lvl]
-                b._pos[v] = len(b._items)
-                b._items.append(v)
+                members = buckets[lvl]
+                pos[v] = len(members)
+                members.append(v)
 
     def check_consistency(self) -> None:
         """Raise RuntimeError unless the cached state matches a recount.
@@ -252,18 +232,21 @@ class ConflictDictionary:
             for x in (u, v):
                 k = x * colors + c
                 at[k] = i if at[k] is None else -1
-        if self._at != at or list(self._ends) != [u ^ v for u, v in graph.edges()]:
+        if self._at != at or self._ends != [u ^ v for u, v in graph.edges()]:
             raise RuntimeError("stale color index")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
         if self._level != levels:
             raise RuntimeError("stale conflict levels")
         if self.total != sum(levels):
             raise RuntimeError("stale total")
-        nonempty = {lvl for lvl, b in self._buckets.items() if b._items}
+        nonempty = {lvl for lvl, members in self._buckets.items() if members}
         for lvl in set(levels) | nonempty:
             want = {v for v, x in enumerate(levels) if x == lvl} if lvl > 0 else set()
-            if self.bucket_members(lvl) != want:
+            members = self._buckets.get(lvl, [])
+            if set(members) != want or len(members) != len(want):
                 raise RuntimeError(f"bucket {lvl} out of sync")
+            if any(self._pos[v] != i for i, v in enumerate(members)):
+                raise RuntimeError(f"bucket {lvl} positions out of sync")
 
 
 def _recolor_entries(at, b: int, around, colors, idx: int, old: int, new: int) -> int:

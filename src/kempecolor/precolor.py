@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from .conflicts import _randbelow
 from .graph import Graph
 
 
@@ -18,8 +19,8 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     is drawn as ``rng.choice`` over the ascending free colors would draw
     it (one ``randrange`` of their count), then found by stepping past
     the used colors at or below it, so no D-long list is built.  Each
-    ``randrange(k)`` is written out as the ``getrandbits`` loop that
-    ``Random._randbelow`` runs, so the draws are the same.
+    ``randrange(k)`` is the ``getrandbits`` loop that ``Random._randbelow``
+    runs, called directly, so the draws are the same.
     """
     graph.clear_colors()
     adj = graph.adj
@@ -33,11 +34,7 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     for u, v in edges:
         taken = used[u] | used[v]
         free = num_colors - taken.bit_count()
-        k = free if free > 0 else num_colors
-        bits = k.bit_length()
-        c = getrandbits(bits)
-        while c >= k:
-            c = getrandbits(bits)
+        c = _randbelow(getrandbits, free if free > 0 else num_colors)
         if free > 0:
             # the c-th free color: each used color at or below it shifts it up
             while taken:

@@ -236,8 +236,21 @@ def test_check_consistency_raises_on_stale_level():
 def test_check_consistency_raises_on_stale_bucket():
     g = star([0, 0, 1])
     cd = ConflictDictionary(g, 3)
-    cd._buckets[1].add(1)
+    cd._buckets[1].append(1)
     with pytest.raises(RuntimeError, match="bucket"):
+        cd.check_consistency()
+
+
+def test_check_consistency_raises_on_stale_bucket_position():
+    # vertices 1 and 2 share a bucket; swapping them leaves _pos behind
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
+    for u, v in g.edges():
+        g.set_edge_color(u, v, 0)
+    cd = ConflictDictionary(g, 3)
+    members = cd._buckets[2]
+    assert sorted(members) == [1, 2]
+    members.reverse()
+    with pytest.raises(RuntimeError, match="positions"):
         cd.check_consistency()
 
 
@@ -252,8 +265,9 @@ def test_check_consistency_raises_on_stale_color_index():
 
 
 def test_color_index_is_flat_until_colors_outgrow_the_edges():
-    # n * D slots: 2 per edge at D = 3 on a cubic graph, 50 per edge at
-    # D = 75, where only the filled slots are kept; both read the same
+    # n * D slots: 3 per vertex at D = 3 on a cubic graph, 75 per vertex
+    # at D = 75, past 32 per vertex plus 4 per edge, where only the filled
+    # slots are kept; both read the same
     g = random_regular_graph(20, 3, random.Random(4))
     random_precolor(g, 3, random.Random(5))
     flat, sparse = ConflictDictionary(g, 3), ConflictDictionary(g, 75)
@@ -266,6 +280,9 @@ def test_color_index_is_flat_until_colors_outgrow_the_edges():
         assert flat.level(v) == sparse.level(v) == conflict_level(g, v)
     flat.check_consistency()
     sparse.check_consistency()
+    # 32 * 20 + 4 * 30 = 760 slots is the most a list may take here
+    assert type(ConflictDictionary(g, 38)._at) is list
+    assert type(ConflictDictionary(g, 39)._at) is not list
 
 
 def test_sample_max_level_draws_as_randrange():
