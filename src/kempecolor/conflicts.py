@@ -48,6 +48,18 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
+def _nth_free(taken: int, r: int) -> int:
+    """The r-th color, counting from 0, whose bit is clear in the bitmask ``taken``."""
+    # each taken color at or below the candidate shifts it up by one
+    while taken:
+        low = taken & -taken
+        if low.bit_length() > r + 1:
+            break
+        r += 1
+        taken ^= low
+    return r
+
+
 class _SparseIndex(dict):
     """The color index as a dict of its filled slots; an empty slot reads None."""
 
@@ -87,10 +99,11 @@ class ConflictDictionary:
     ``_ends[e]`` is the XOR of edge e's endpoints: one endpoint gives the
     other.
 
-    ``_buckets[lvl]`` lists the vertices at level lvl >= 1, and
-    ``_pos[v]`` is v's place in its list.  A vertex leaves its list by
-    taking the last member into its slot and joins at the end, so
-    sampling a bucket is one list read.
+    ``_buckets`` is a list indexed by level whose slot 0 stays empty:
+    ``_buckets[lvl]`` lists the vertices at level lvl >= 1, and ``_pos[v]``
+    is v's place in its list.  A vertex leaves its list by taking the last
+    member into its slot and joins at the end, so sampling a bucket is one
+    list read.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -120,9 +133,7 @@ class ConflictDictionary:
         self._ends = [u ^ v for u, v in graph.edges()]
         self._level = level
         # a level never exceeds degree - 1, so every bucket exists up front
-        self._buckets: dict[int, list[int]] = {lvl: [] for lvl in range(1, graph.max_degree())}
-        # the bucket lists, highest level first
-        self._descending = [self._buckets[lvl] for lvl in reversed(self._buckets)]
+        self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
         self._pos = [0] * graph.n
         self.total = 0
         for v, lvl in enumerate(level):
@@ -136,14 +147,16 @@ class ConflictDictionary:
         return self._level[v]
 
     def bucket_members(self, level: int) -> set[int]:
-        b = self._buckets.get(level)
-        return set(b) if b is not None else set()
+        if 0 < level < len(self._buckets):
+            return set(self._buckets[level])
+        return set()
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
-        for i, items in enumerate(self._descending):
-            if items:
-                return len(self._descending) - i
+        buckets = self._buckets
+        for lvl in range(len(buckets) - 1, 0, -1):
+            if buckets[lvl]:
+                return lvl
         raise GraphError("no conflicting vertices (check total > 0 first)")
 
     def sample_max_level(self, rng: random.Random) -> int:
@@ -151,10 +164,8 @@ class ConflictDictionary:
 
         Draws what ``rng.randrange`` over the bucket's size would draw.
         """
-        for items in self._descending:
-            if items:
-                return items[_randbelow(rng.getrandbits, len(items))]
-        raise GraphError("no conflicting vertices (check total > 0 first)")
+        items = self._buckets[self.max_level()]
+        return items[_randbelow(rng.getrandbits, len(items))]
 
     def color_edge(self, u: int, v: int, color: int) -> int:
         """Recolor edge {u, v} and update both endpoints.
@@ -239,10 +250,8 @@ class ConflictDictionary:
             raise RuntimeError("stale conflict levels")
         if self.total != sum(levels):
             raise RuntimeError("stale total")
-        nonempty = {lvl for lvl, members in self._buckets.items() if members}
-        for lvl in set(levels) | nonempty:
+        for lvl, members in enumerate(self._buckets):
             want = {v for v, x in enumerate(levels) if x == lvl} if lvl > 0 else set()
-            members = self._buckets.get(lvl, [])
             if set(members) != want or len(members) != len(want):
                 raise RuntimeError(f"bucket {lvl} out of sync")
             if any(self._pos[v] != i for i, v in enumerate(members)):
@@ -369,36 +378,32 @@ def kempe_start(
 ) -> int:
     """Launch one chain from conflicting vertex v; no-op if v is unconflicting.
 
-    Scans v's incident edges: the first sighting of a color marks it used,
-    a second sighting marks that edge as a repeated-color edge.  One such
-    edge is chosen uniformly, and the new chain color is drawn uniformly
-    from the colors absent at v, with the draws ``rng.choice`` would make.
+    Scans v's incident edges: the first sighting of a color sets its bit in
+    a bitmask, a second sighting marks that edge as a repeated-color edge.
+    One such edge is chosen uniformly, and the new chain color is drawn
+    uniformly from the colors absent at v, with the draws ``rng.choice``
+    would make, and found by ``_nth_free``.
     The colors at v must lie in [0, num_colors), as the dictionary's do.
     Returns the number of recolorings performed.
     """
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
     colors = graph.colors
-    seen: set[int] = set()
+    seen = 0
     repeated: list[int] = []
     for idx in graph.adj[v].values():
-        c = colors[idx]
-        if c in seen:
+        bit = 1 << colors[idx]
+        if seen & bit:
             repeated.append(idx)
         else:
-            seen.add(c)
+            seen |= bit
     if not repeated:
         return 0
-    free = num_colors - len(seen)
+    free = num_colors - seen.bit_count()
     if free <= 0:
         raise GraphError(
             f"vertex {v} has degree {deg} > {num_colors} colors: no free color"
         )
     getrandbits = rng.getrandbits
     idx = repeated[_randbelow(getrandbits, len(repeated))]
-    # the free color of that rank among the ascending free colors
-    new_color = _randbelow(getrandbits, free)
-    for c in sorted(seen):
-        if c > new_color:
-            break
-        new_color += 1
+    new_color = _nth_free(seen, _randbelow(getrandbits, free))
     return _chain(graph, cd, v, cd._ends[idx] ^ v, idx, new_color, rng)

@@ -6,14 +6,14 @@ import random
 from itertools import combinations
 from math import comb
 
-from .graph import MAX_VERTICES, Graph, GraphError
+from .graph import MAX_EDGES, MAX_VERTICES, Graph, GraphError
 
 
 def check_regular_parameters(n: int, d: int) -> None:
     """Raise GraphError unless ``random_regular_graph(n, d, ...)`` may be asked for.
 
     n and d must be non-negative, n at most ``MAX_VERTICES``, n*d even,
-    and d below n (or both 0).
+    n*d/2 at most ``MAX_EDGES``, and d below n (or both 0).
     """
     if d < 0 or n < 0:
         raise GraphError("n and d must be non-negative")
@@ -21,6 +21,8 @@ def check_regular_parameters(n: int, d: int) -> None:
         raise GraphError(f"random regular graph has {n} vertices, more than the cap of {MAX_VERTICES}")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
+    if n * d > 2 * MAX_EDGES:
+        raise GraphError(f"random regular graph has {n * d // 2} edges, more than the cap of {MAX_EDGES}")
     if d >= n and not (n == 0 and d == 0):
         raise GraphError(f"degree {d} requires more than {n} vertices")
 

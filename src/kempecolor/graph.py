@@ -131,6 +131,11 @@ class ParseError(ValueError):
 # edge, so an unchecked header could ask for any amount of memory.
 MAX_VERTICES = 10**6
 
+# Largest edge count an edge-list header or a generated graph may have.
+# Parsing peaks at about 450 bytes per edge and a search holds 330-500, so
+# 10^7 edges need some 5 GB; past that a run would end in a MemoryError.
+MAX_EDGES = 10**7
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: line 1 is `n m`, then m lines `u v`."""
@@ -146,6 +151,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be two integers, got {lines[0]!r}") from None
     if n > MAX_VERTICES:
         raise ParseError(f"header declares {n} vertices, more than the cap of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ParseError(f"header declares {m} edges, more than the cap of {MAX_EDGES}")
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .conflicts import _randbelow
+from .conflicts import _nth_free, _randbelow
 from .graph import Graph
 
 
@@ -17,10 +17,10 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
 
     Each vertex keeps its used colors as an int bitmask.  The free color
     is drawn as ``rng.choice`` over the ascending free colors would draw
-    it (one ``randrange`` of their count), then found by stepping past
-    the used colors at or below it, so no D-long list is built.  Each
-    ``randrange(k)`` is the ``getrandbits`` loop that ``Random._randbelow``
-    runs, called directly, so the draws are the same.
+    it (one ``randrange`` of their count), then found by ``_nth_free``'s
+    walk past the used colors at or below it, so no D-long list is built.
+    Each ``randrange(k)`` is the ``getrandbits`` loop that
+    ``Random._randbelow`` runs, called directly, so the draws are the same.
     """
     graph.clear_colors()
     adj = graph.adj
@@ -36,13 +36,7 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
         free = num_colors - taken.bit_count()
         c = _randbelow(getrandbits, free if free > 0 else num_colors)
         if free > 0:
-            # the c-th free color: each used color at or below it shifts it up
-            while taken:
-                low = taken & -taken
-                if low.bit_length() > c + 1:
-                    break
-                c += 1
-                taken ^= low
+            c = _nth_free(taken, c)
         colors[adj[u][v]] = c
         bit = 1 << c
         used[u] |= bit
@@ -50,5 +44,12 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
 
 
 def random_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
-    """Assign every edge an independent uniform color, in edge-id order."""
-    graph.colors[:] = [rng.randrange(num_colors) for _ in graph.colors]
+    """Assign every edge an independent uniform color, in edge-id order.
+
+    Each color is ``_randbelow``'s draw, the one ``rng.randrange(num_colors)``
+    would make.
+    """
+    if graph.colors and num_colors < 1:
+        raise ValueError(f"cannot color edges with {num_colors} colors")
+    getrandbits = rng.getrandbits
+    graph.colors[:] = [_randbelow(getrandbits, num_colors) for _ in graph.colors]

@@ -252,3 +252,30 @@ def test_bench_checks_every_cell_before_running_any(tmp_path, capsys, monkeypatc
     assert "12 vertices, more than the cap of 10" in err
     assert calls == []
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_over_edge_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # K_4 has 6 edges, at the cap; a cubic graph on 6 vertices has 9, so
+    # neither cell may run
+    import kempecolor.bench as bench
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "MAX_EDGES", 6)
+    calls = []
+    run_instance = bench.run_instance
+
+    def counted(*args):
+        calls.append(args)
+        return run_instance(*args)
+
+    monkeypatch.setattr(bench, "run_instance", counted)
+    status = main(
+        ["bench", "--degrees", "3", "--sizes", "4,6", "--instances", "1",
+         "--csv", str(tmp_path / "x.csv")]
+    )
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9 edges, more than the cap of 6" in err
+    assert calls == []
+    assert not (tmp_path / "x.csv").exists()

@@ -15,6 +15,7 @@ from kempecolor import (
     random_precolor,
     random_regular_graph,
 )
+from kempecolor.conflicts import _nth_free
 
 
 def star(colors):
@@ -305,3 +306,25 @@ def test_sample_max_level_draws_as_randrange():
             rng, ref = random.Random(seed), random.Random(seed)
             assert cd.sample_max_level(rng) == members[ref.randrange(size)]
             assert rng.getstate() == ref.getstate()
+
+
+def test_bucket_members_outside_the_levels_is_empty():
+    # the center of a monochromatic 4-star is at level 3 = Δ - 1, the top
+    # bucket; level -1 must not wrap round to it
+    cd = ConflictDictionary(star([0, 0, 0, 0]), 4)
+    assert cd.bucket_members(3) == {0}
+    for level in (0, -1, 4):
+        assert cd.bucket_members(level) == set()
+
+
+def test_nth_free_matches_a_sorted_list():
+    rng = random.Random(21)
+    for num_colors in (1, 2, 3, 15, 63, 64, 65, 200, 50_000):
+        for density in (0.0, 0.01, 0.5, 0.99, 1.0):
+            bits = [rng.random() < density for _ in range(num_colors)]
+            taken = int("0" + "".join("1" if b else "0" for b in reversed(bits)), 2)
+            free = [c for c, b in enumerate(bits) if not b]
+            if not free:
+                continue
+            for r in {0, len(free) - 1, *rng.sample(range(len(free)), min(len(free), 4))}:
+                assert _nth_free(taken, r) == free[r]

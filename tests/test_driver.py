@@ -12,6 +12,7 @@ from kempecolor import (
     check_edge_coloring,
     greedy_precolor,
     heuristic_pass,
+    random_precolor,
     random_regular_graph,
 )
 
@@ -170,12 +171,13 @@ class BitsOnlyRandom(random.Random):
 
 @pytest.mark.parametrize("n, d", [(200, 3), (60, 15)])
 def test_search_draws_only_with_getrandbits(n, d):
-    # greedy pre-coloring and a pass draw through getrandbits alone, the same
+    # both pre-colorings and a pass draw through getrandbits alone, the same
     # draws randrange and choice would make
     g = random_regular_graph(n, d, random.Random(n))
-    runs = []
-    for rng in (random.Random(7), BitsOnlyRandom(7)):
-        greedy_precolor(g, d, rng)
-        solved = heuristic_pass(g, d, 50, rng)
-        runs.append((list(g.colors), solved, rng.getstate()))
-    assert runs[0] == runs[1]
+    for precolor in (greedy_precolor, random_precolor):
+        runs = []
+        for rng in (random.Random(7), BitsOnlyRandom(7)):
+            precolor(g, d, rng)
+            solved = heuristic_pass(g, d, 50, rng)
+            runs.append((list(g.colors), solved, rng.getstate()))
+        assert runs[0] == runs[1]

@@ -116,6 +116,27 @@ def test_odd_graph_cap_is_inclusive(monkeypatch):
         odd_graph(4)
 
 
+def test_regular_edge_cap_is_inclusive(monkeypatch):
+    import kempecolor.generators as gen
+
+    monkeypatch.setattr(gen, "MAX_EDGES", 15)  # a cubic graph on 10 vertices has 15 edges
+    assert random_regular_graph(10, 3, random.Random(0)).m == 15
+    with pytest.raises(GraphError, match="18 edges, more than the cap of 15"):
+        random_regular_graph(12, 3, random.Random(0))
+
+
+def test_regular_edge_cap_checked_before_any_stub(monkeypatch):
+    # n = 10^6 is within the vertex cap, but d = 999,998 would pair 10^12 stubs
+    import kempecolor.generators as gen
+
+    def no_pairing(*args):
+        raise AssertionError("stubs paired for an over-cap graph")
+
+    monkeypatch.setattr(gen, "_pairing_attempt", no_pairing)
+    with pytest.raises(GraphError, match="more than the cap of 10000000"):
+        random_regular_graph(10**6, 999_998, random.Random(0))
+
+
 def test_odd_graph_cap_checked_before_enumerating(monkeypatch):
     import kempecolor.generators as gen
 

@@ -172,6 +172,24 @@ def test_vertex_cap_checked_before_allocating(monkeypatch):
         parse_edge_list("1000000000 0\n")
 
 
+def test_edge_cap_is_inclusive(monkeypatch):
+    import kempecolor.graph as graph_mod
+
+    monkeypatch.setattr(graph_mod, "MAX_EDGES", 2)
+    assert parse_edge_list("3 2\n0 1\n1 2\n").m == 2
+    with pytest.raises(ParseError, match="3 edges, more than the cap of 2"):
+        parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
+
+
+def test_edge_cap_checked_before_any_edge_line(monkeypatch):
+    # the header alone is rejected: neither the line count nor a line is read
+    import kempecolor.graph as graph_mod
+
+    monkeypatch.setattr(graph_mod, "MAX_EDGES", 2)
+    with pytest.raises(ParseError, match="3 edges, more than the cap of 2"):
+        parse_edge_list("4 3\nx y\n")
+
+
 def test_coloring_format_round_trip(triangle):
     for i, (u, v) in enumerate(triangle.edges()):
         triangle.set_edge_color(u, v, i)

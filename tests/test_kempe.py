@@ -272,7 +272,7 @@ def copy_colored(graph):
 
 def dictionary_state(graph, cd):
     """Colors, levels, and every nonempty bucket in its internal order."""
-    buckets = {lvl: list(b) for lvl, b in cd._buckets.items() if len(b)}
+    buckets = {lvl: list(b) for lvl, b in enumerate(cd._buckets) if b}
     return (
         [graph.edge_color(u, v) for u, v in graph.edges()],
         [cd.level(v) for v in range(graph.n)],

@@ -149,3 +149,26 @@ def test_totality_both_modes():
             g = Graph(n, edges)
             mode(g, 4, rng)
             assert g.is_fully_colored()
+
+
+@pytest.mark.parametrize("num_colors", [1, 2, 3, 5, 15, 64, 65, 50_000])
+def test_random_draws_as_randrange(num_colors):
+    g = random_regular_graph(40, 5, random.Random(num_colors))  # 100 edges
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        random_precolor(g, num_colors, rng)
+        assert g.colors == [ref.randrange(num_colors) for _ in range(g.m)]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_without_colors():
+    # an error before any draw on a graph with edges, a no-op without edges
+    for num_colors in (0, -1):
+        g = Graph(3, [(0, 1)])
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"{num_colors} colors"):
+            random_precolor(g, num_colors, rng)
+        assert g.colors == [None] and rng.getstate() == state
+        random_precolor(Graph(3, []), num_colors, rng)
+        assert rng.getstate() == state
