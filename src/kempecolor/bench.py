@@ -126,39 +126,16 @@ def summarize(records: list[BenchRecord]) -> dict[tuple[int, int], dict]:
 
 
 def write_csv(path: str, records: list[BenchRecord]) -> None:
+    """One row per run, then min/avg/max rows per (d, n) cell; columns as in CSV_FIELDS."""
     summaries = summarize(records)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
         for r in records:
-            writer.writerow(
-                {
-                    "kind": "run",
-                    "d": r.d,
-                    "n": r.n,
-                    "instance": r.instance,
-                    "seed": r.seed,
-                    "success": int(r.success),
-                    "passes": r.passes,
-                    "wall_time_s": f"{r.wall_time:.6f}",
-                    "time_per_pass_s": f"{r.time_per_pass:.6f}",
-                    "success_rate": "",
-                }
-            )
+            writer.writerow(["run", r.d, r.n, r.instance, r.seed, int(r.success), r.passes,
+                             f"{r.wall_time:.6f}", f"{r.time_per_pass:.6f}", ""])
         for (d, n), stats in summaries.items():
             for kind in ("min", "avg", "max"):
                 t, p, tpp = stats[kind]
-                writer.writerow(
-                    {
-                        "kind": kind,
-                        "d": d,
-                        "n": n,
-                        "instance": "",
-                        "seed": "",
-                        "success": "",
-                        "passes": f"{p:.3f}" if kind == "avg" else p,
-                        "wall_time_s": f"{t:.6f}",
-                        "time_per_pass_s": f"{tpp:.6f}",
-                        "success_rate": f"{stats['success_rate']:.4f}",
-                    }
-                )
+                writer.writerow([kind, d, n, "", "", "", f"{p:.3f}" if kind == "avg" else p,
+                                 f"{t:.6f}", f"{tpp:.6f}", f"{stats['success_rate']:.4f}"])

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit statuses: 0 success, 1 heuristic failure / rejected coloring,
-2 usage or parameter error, 3 parse or I/O error.
+2 usage or parameter error (``GraphError``, ``ParameterError``), 3 parse
+or I/O error (``ParseError``, ``OSError``).  The commands raise; ``main``
+alone turns an error into its status and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -78,11 +80,7 @@ def _params(args, colors: int) -> HeuristicParams:
 
 def _run_and_report(graph: Graph, args, colors: int, *header: str) -> int:
     """Run the heuristic, print the header lines and the report; return the exit status."""
-    try:
-        report = apply_heuristic(graph, _params(args, colors))
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = apply_heuristic(graph, _params(args, colors))
     for line in header:
         print(line)
     print(f"vertices: {graph.n}")
@@ -97,19 +95,11 @@ def _run_and_report(graph: Graph, args, colors: int, *header: str) -> int:
 
 
 def cmd_color(args) -> int:
-    try:
-        graph = read_edge_list(args.input)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    graph = read_edge_list(args.input)
     colors = args.colors if args.colors is not None else graph.max_degree()
     status = _run_and_report(graph, args, colors)
     if status == EXIT_OK and args.output:
-        try:
-            write_coloring(graph, args.output)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        write_coloring(graph, args.output)
     return status
 
 
@@ -118,58 +108,34 @@ def cmd_bench(args) -> int:
         degrees = [int(x) for x in args.degrees.split(",") if x]
         sizes = [int(x) for x in args.sizes.split(",") if x]
     except ValueError:
-        print("error: --degrees and --sizes must be comma-separated integers",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        # each instance sets its own colors and seed; the base seed defaults to 0
-        params = _params(args, colors=0)
-        records = run_sweep(degrees, sizes, args.instances, args.seed or 0, params)
-    except (GraphError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        write_csv(args.csv, records)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ParameterError("--degrees and --sizes must be comma-separated integers") from None
+    # each instance sets its own colors and seed; the base seed defaults to 0
+    records = run_sweep(degrees, sizes, args.instances, args.seed or 0, _params(args, colors=0))
+    write_csv(args.csv, records)
     print(f"wrote {len(records)} run rows to {args.csv}")
     return EXIT_OK
 
 
 def cmd_oddgraph(args) -> int:
-    try:
-        graph = odd_graph(args.k)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graph = odd_graph(args.k)
     colors = args.colors if args.colors is not None else args.k
     return _run_and_report(graph, args, colors, f"k: {args.k}")
 
 
 def cmd_verify(args) -> int:
-    try:
-        graph = read_edge_list(args.graph)
-        triples = read_coloring(args.coloring)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    graph = read_edge_list(args.graph)
+    triples = read_coloring(args.coloring)
     n, adj, colors = graph.n, graph.adj, graph.colors
     for u, v, c in triples:
         idx = adj[u].get(v) if 0 <= u < n else None
         if idx is None:
-            print(f"error: coloring refers to nonexistent edge ({u}, {v})",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise GraphError(f"coloring refers to nonexistent edge ({u}, {v})")
         # the graph was just read, so a set color means a second line for the edge
         if colors[idx] is not None:
-            print(f"error: edge ({u}, {v}) colored twice", file=sys.stderr)
-            return EXIT_USAGE
+            raise GraphError(f"edge ({u}, {v}) colored twice")
         colors[idx] = c
     if len(triples) != graph.m:
-        print(f"error: coloring covers {len(triples)} of {graph.m} edges",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise GraphError(f"coloring covers {len(triples)} of {graph.m} edges")
     if check_edge_coloring(graph, args.colors):
         print("coloring: valid")
         return EXIT_OK
@@ -178,6 +144,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; print any parse, I/O, usage or parameter error as one line."""
     args = build_parser().parse_args(argv)
     handler = {
         "color": cmd_color,
@@ -185,7 +152,14 @@ def main(argv=None) -> int:
         "oddgraph": cmd_oddgraph,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (GraphError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

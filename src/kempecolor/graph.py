@@ -137,22 +137,28 @@ MAX_VERTICES = 10**6
 MAX_EDGES = 10**7
 
 
+def _check_header(line: str) -> tuple[int, int]:
+    """The vertex and edge counts an edge-list header declares, within the caps."""
+    header = line.split()
+    if len(header) != 2:
+        raise ParseError(f"header must be 'n m', got {line!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(f"header must be two integers, got {line!r}") from None
+    if n > MAX_VERTICES:
+        raise ParseError(f"header declares {n} vertices, more than the cap of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ParseError(f"header declares {m} edges, more than the cap of {MAX_EDGES}")
+    return n, m
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: line 1 is `n m`, then m lines `u v`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"header must be two integers, got {lines[0]!r}") from None
-    if n > MAX_VERTICES:
-        raise ParseError(f"header declares {n} vertices, more than the cap of {MAX_VERTICES}")
-    if m > MAX_EDGES:
-        raise ParseError(f"header declares {m} edges, more than the cap of {MAX_EDGES}")
+    n, m = _check_header(lines[0])
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -172,16 +178,48 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
+def _decode(path: str, data: bytes) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def _read_ascii(path: str) -> str:
-    with open(path, encoding="ascii") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read())
+
+
+def _first_line(text: str) -> str | None:
+    """The first non-blank line of ``text``; None if the text may end inside it."""
+    for ln in text.splitlines(keepends=True):
+        line = ln.splitlines()[0]
+        if line.strip():
+            return line if line != ln else None
+    return None
+
+
+def _read_edge_list_text(path: str) -> str:
+    """The edge-list file's text; its header is checked before the body is read.
+
+    Only a prefix is read until its first non-blank line is complete, so an
+    over-cap header costs about that line, not the file.
+    """
+    with open(path, "rb") as fh:
+        data = b""
+        # doubling reads: a long run of blank lines costs time linear in its length
+        while chunk := fh.read(max(len(data), 1024)):
+            data += chunk
+            line = _first_line(_decode(path, data))
+            if line is not None:
+                _check_header(line)
+                data += fh.read()
+                break
+    return _decode(path, data)
 
 
 def read_edge_list(path: str) -> Graph:
-    return parse_edge_list(_read_ascii(path))
+    return parse_edge_list(_read_edge_list_text(path))
 
 
 def format_coloring(graph: Graph) -> str:

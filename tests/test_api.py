@@ -115,6 +115,27 @@ def test_verifier_imports_nothing_from_the_search():
     assert not parts & {"conflicts", "driver"}
 
 
+def test_only_cli_main_maps_errors_to_statuses():
+    # the commands raise; main alone turns an error into exit 2 or 3, and an
+    # except clause anywhere else in cli.py may only raise again
+    src = Path(kempecolor.__file__).parent
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = {id(n) for n in ast.walk(main)}
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        module = tree if path.name == "cli.py" else ast.parse(path.read_text())
+        for node in ast.walk(module):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("EXIT_USAGE", "EXIT_IO") and not isinstance(node.ctx, ast.Store):
+                if id(node) not in in_main:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    handlers = [n for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)]
+    assert [h.lineno for h in handlers if id(h) not in in_main
+            and not any(isinstance(n, ast.Raise) for n in ast.walk(h))] == []
+
+
 # names perfbench's tracer swaps for timing wrappers
 TRACED_NAMES = [
     (driver, "greedy_precolor"),

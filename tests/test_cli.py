@@ -279,3 +279,139 @@ def test_bench_over_edge_cap_is_usage_error(tmp_path, capsys, monkeypatch):
     assert "9 edges, more than the cap of 6" in err
     assert calls == []
     assert not (tmp_path / "x.csv").exists()
+
+
+# ---- every failure of every command: its status, its one stderr line, and stdout
+
+K4_REPORT = [
+    "vertices: 4", "edges: 6", "colors: 3", "seed: 0", "success: true", "passes: 1",
+    "wall_time_s: *", "final_conflictivity: 0",
+]
+ENOENT = "[Errno 2] No such file or directory: '{}'"
+SWEEP = ["bench", "--degrees", "3", "--sizes", "4", "--instances", "1"]
+FILES = {
+    "k4.txt": K4_TEXT.encode(),
+    "bad.txt": b"not a graph\n",
+    "non_ascii.txt": b"3 2\n0 1\n1 \xe9\n",
+    "over_cap.txt": b"1000001 0\n",
+    "bad_coloring.txt": b"0 1\n",
+    "non_ascii_coloring.txt": b"0 1 0\n0 2 \xff\n",
+    "ghost.txt": b"0 9 0\n",
+    "twice.txt": b"0 1 0\n0 2 1\n0 3 2\n1 2 2\n1 3 1\n2 0 0\n",
+    "short.txt": b"0 1 0\n0 2 1\n0 3 2\n1 2 2\n1 3 1\n",
+}
+FAILURES = [
+    # (argv, status, error message, stdout lines)
+    (["color", "absent.txt"], 3, ENOENT.format("absent.txt"), []),
+    (["color", "bad.txt"], 3, "header must be 'n m', got 'not a graph'", []),
+    (["color", "non_ascii.txt"], 3, "non_ascii.txt: non-ASCII byte at offset 10", []),
+    (["color", "over_cap.txt"], 3,
+     "header declares 1000001 vertices, more than the cap of 1000000", []),
+    (["color", "k4.txt", "-D", "2"], 2,
+     "2 colors cannot properly color a graph with maximum degree 3", []),
+    (["color", "k4.txt", "-R", "-1"], 2, "repetition limit must be non-negative", []),
+    (["color", "k4.txt", "--seed", "0", "-o", "missing/out.txt"], 3,
+     ENOENT.format("missing/out.txt"), K4_REPORT),
+    (["bench", "--degrees", "3,x", "--sizes", "4", "--csv", "x.csv"], 2,
+     "--degrees and --sizes must be comma-separated integers", []),
+    (["bench", "--degrees", "3", "--sizes", "1.5", "--csv", "x.csv"], 2,
+     "--degrees and --sizes must be comma-separated integers", []),
+    (["bench", "--degrees", "3", "--sizes", "5", "--csv", "x.csv"], 2,
+     "n*d must be even, got n=5, d=3", []),
+    ([*SWEEP, "--instances", "0", "--csv", "x.csv"], 2,
+     "a sweep needs a degree, a size and at least one instance", []),
+    ([*SWEEP, "-L", "0", "--csv", "x.csv"], 2, "iteration limit must be positive", []),
+    ([*SWEEP, "--csv", "missing/x.csv"], 3,
+     ENOENT.format("missing/x.csv"), []),
+    (["oddgraph", "1"], 2, "odd graph needs k >= 2, got 1", []),
+    (["oddgraph", "3", "-D", "2"], 2,
+     "2 colors cannot properly color a graph with maximum degree 3", []),
+    (["oddgraph", "3", "-R", "-1"], 2, "repetition limit must be non-negative", []),
+    (["verify", "absent.txt", "short.txt", "-D", "3"], 3,
+     ENOENT.format("absent.txt"), []),
+    (["verify", "k4.txt", "absent.txt", "-D", "3"], 3,
+     ENOENT.format("absent.txt"), []),
+    (["verify", "bad.txt", "short.txt", "-D", "3"], 3,
+     "header must be 'n m', got 'not a graph'", []),
+    (["verify", "k4.txt", "bad_coloring.txt", "-D", "3"], 3,
+     "coloring line must be 'u v c', got '0 1'", []),
+    (["verify", "k4.txt", "non_ascii_coloring.txt", "-D", "3"], 3,
+     "non_ascii_coloring.txt: non-ASCII byte at offset 10", []),
+    (["verify", "k4.txt", "ghost.txt", "-D", "3"], 2,
+     "coloring refers to nonexistent edge (0, 9)", []),
+    (["verify", "k4.txt", "twice.txt", "-D", "3"], 2, "edge (2, 0) colored twice", []),
+    (["verify", "k4.txt", "short.txt", "-D", "3"], 2, "coloring covers 5 of 6 edges", []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, message, stdout", FAILURES, ids=[" ".join(f[0]) for f in FAILURES]
+)
+def test_exit_status_table(tmp_path, monkeypatch, capsys, argv, status, message, stdout):
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == status
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    lines = [ln.split(": ")[0] + ": *" if ln.startswith("wall_time_s: ") else ln
+             for ln in out.splitlines()]
+    assert lines == stdout
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_internal_fault_escapes_main(k4_file, monkeypatch):
+    import kempecolor.cli as cli
+
+    def fault(*args):
+        raise RuntimeError("success reported for an improper coloring")
+
+    monkeypatch.setattr(cli, "apply_heuristic", fault)
+    with pytest.raises(RuntimeError, match="improper coloring"):
+        main(["color", k4_file, "--seed", "0"])
+
+
+# wall_time_s and time_per_pass_s masked; degree 3 twice, so each of its runs
+# appears twice and the final sort interleaves them
+BENCH_CSV = """\
+kind,d,n,instance,seed,success,passes,wall_time_s,time_per_pass_s,success_rate
+run,3,20,0,16022604804082124975,1,1,*,*,
+run,3,20,0,16022604804082124975,1,1,*,*,
+run,3,20,1,17681975433191372,1,2,*,*,
+run,3,20,1,17681975433191372,1,2,*,*,
+run,3,30,0,5752200445111103681,1,1,*,*,
+run,3,30,0,5752200445111103681,1,1,*,*,
+run,3,30,1,17862419938000077404,1,3,*,*,
+run,3,30,1,17862419938000077404,1,3,*,*,
+run,4,20,0,14462943581499535040,1,1,*,*,
+run,4,20,1,11820039425312454366,1,1,*,*,
+run,4,30,0,11539079859727240844,1,4,*,*,
+run,4,30,1,3345860301724018238,1,1,*,*,
+min,3,20,,,,1,*,*,1.0000
+avg,3,20,,,,1.500,*,*,1.0000
+max,3,20,,,,2,*,*,1.0000
+min,3,30,,,,1,*,*,1.0000
+avg,3,30,,,,2.000,*,*,1.0000
+max,3,30,,,,3,*,*,1.0000
+min,4,20,,,,1,*,*,1.0000
+avg,4,20,,,,1.000,*,*,1.0000
+max,4,20,,,,1,*,*,1.0000
+min,4,30,,,,1,*,*,1.0000
+avg,4,30,,,,2.500,*,*,1.0000
+max,4,30,,,,4,*,*,1.0000
+"""
+
+
+def test_bench_csv_bytes(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    status = main(["bench", "--degrees", "3,4,3", "--sizes", "20,30", "--instances", "2",
+                   "--seed", "0", "--csv", str(path)])
+    assert status == 0
+    assert capsys.readouterr().out == f"wrote 12 run rows to {path}\n"
+    masked = []
+    for line in path.read_bytes().decode("ascii").split("\n"):
+        cols = line.split(",")
+        if len(cols) == 10 and cols[0] != "kind":
+            cols[7:9] = ["*", "*"]
+        masked.append(",".join(cols))
+    assert "\n".join(masked) == BENCH_CSV

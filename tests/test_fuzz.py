@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from kempecolor import Graph, GraphError, ParseError, parse_coloring, parse_edge_list
 from kempecolor.cli import main
-from kempecolor.graph import MAX_VERTICES
+from kempecolor.graph import MAX_VERTICES, read_edge_list
 
 JUNK = st.one_of(
     st.sampled_from(["x", "", "1.5", "0x1", "+3", "--1", "9_9", "1e3", "é", "٣"]),
@@ -283,3 +283,30 @@ def test_parse_coloring_line_breaks_match_reference(text, accepted):
     want = outcome(reference_parse_coloring, text)
     assert isinstance(want, str) is not accepted
     assert outcome(parse_coloring, text) == want
+
+
+@FUZZ
+@given(
+    text=mixed(st.one_of(edge_list_texts(), unchecked_edge_list_texts(), SOUP)),
+    # a run of blank characters that ends near a read boundary of read_edge_list
+    pad=st.sampled_from(["\n", " ", "\r"]),
+    width=st.one_of(st.just(0), st.integers(1000, 1030), st.integers(2030, 2060)),
+)
+def test_read_edge_list_matches_parse_edge_list(text, pad, width):
+    text = pad * width + text
+    data = text.encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got = graph_outcome(read_edge_list, path)
+    want = graph_outcome(parse_edge_list, text)
+    if text.isascii():
+        assert got == want
+    else:
+        # a bad header may be reported before a non-ASCII byte that follows it
+        offset = next(i for i, b in enumerate(data) if b >= 0x80)
+        late_header = isinstance(want, str) and want.startswith("ParseError: header ")
+        assert got == f"ParseError: {path}: non-ASCII byte at offset {offset}" or (
+            late_header and got == want
+        )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from kempecolor import (
     parse_coloring,
     parse_edge_list,
 )
+from kempecolor.graph import read_edge_list
 
 
 @st.composite
@@ -188,6 +190,31 @@ def test_edge_cap_checked_before_any_edge_line(monkeypatch):
     monkeypatch.setattr(graph_mod, "MAX_EDGES", 2)
     with pytest.raises(ParseError, match="3 edges, more than the cap of 2"):
         parse_edge_list("4 3\nx y\n")
+
+
+def test_read_edge_list_checks_the_header_before_the_body(tmp_path, monkeypatch):
+    # an over-cap header is rejected after reading about one chunk, not the file
+    import kempecolor.graph as graph_mod
+
+    monkeypatch.setattr(graph_mod, "MAX_EDGES", 1000)
+    path = tmp_path / "over_cap.txt"
+    path.write_bytes(b"2 200000\n" + b"0 1\n" * 200000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="200000 edges, more than the cap of 1000$"):
+            read_edge_list(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 20
+
+
+def test_read_edge_list_reports_a_late_non_ascii_byte_by_its_offset(tmp_path):
+    path = tmp_path / "late.txt"
+    data = b"2 1\n0 1\n" + b"\n" * 100000 + b"\xe9\n"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"non-ASCII byte at offset {len(data) - 2}$"):
+        read_edge_list(str(path))
 
 
 def test_coloring_format_round_trip(triangle):
