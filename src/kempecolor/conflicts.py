@@ -21,7 +21,10 @@ be revisited first, so only those are remembered.
 
 Every random draw is the ``getrandbits`` rejection loop that CPython's
 ``Random._randbelow`` runs for ``randrange`` and ``choice``, written out
-so that seeded runs draw exactly what those methods would.
+so that seeded runs draw exactly what those methods would.  A chain step
+with one candidate still makes ``choice``'s draw over one item, which
+never steers the chain; a chain owes those draws and makes them in bulk
+(``_skip_single_draws``) before its next other draw and when it ends.
 """
 
 from __future__ import annotations
@@ -46,6 +49,25 @@ def _randbelow(getrandbits, n: int) -> int:
     while r >= n:
         r = getrandbits(bits)
     return r
+
+
+# bit 31 of each of 1024 32-bit words: one getrandbits(1) is a word's top bit
+_TOPS = int.from_bytes(b"\0\0\0\x80" * 1024, "little")
+
+
+def _skip_single_draws(getrandbits, r: int) -> None:
+    """Make the draws of r ``randrange(1)`` calls: r ``getrandbits(1)`` loops,
+    each of which stops at the first 32-bit word whose top bit is clear.
+
+    ``getrandbits(32 * k)`` returns the next k words, first word lowest;
+    with k <= r, every one is a word the loops would take.
+    """
+    while r >= 8:
+        k = min(r, 1024)
+        r -= k - (getrandbits(32 * k) & _TOPS).bit_count()
+    for _ in range(r):
+        while getrandbits(1):
+            pass
 
 
 def _nth_free(taken: int, r: int) -> int:
@@ -292,14 +314,17 @@ def kempe_process(
     them step by step.  ``node``'s index slot for the carried color gives
     the continuation: none, one edge, or -1, and only -1 scans ``node``'s
     edges, in insertion order, to draw among them with ``rng.choice``
-    spelled out as ``getrandbits``.  Its slot for the old color says
-    whether a twin, another edge of that color, stays.  Only the two ends
-    change level.  An interior vertex hands the carried color on and takes
-    the old one back, so its slots are set to their final values at once;
-    without a twin, its level goes up by one and straight back, which only
-    moves it to the end of its bucket.  ``start`` and the terminal ``node``
-    get the general update, which scans edges only at a twin.  A chain swaps
-    two distinct colors: a ``new_color`` equal to the edge's raises GraphError.
+    spelled out as ``getrandbits``.  ``choice``'s draw over one edge is
+    owed, and the owed draws are made in order before that scan's draw and
+    at the chain's end, which leaves ``rng`` as step-by-step draws would.
+    Its slot for the old color says whether a twin, another edge of that
+    color, stays.  Only the two ends change level.  An interior vertex
+    hands the carried color on and takes the old one back, so its slots
+    are set to their final values at once; without a twin, its level goes
+    up by one and straight back, which only moves it to the end of its
+    bucket.  ``start`` and the terminal ``node`` get the general update,
+    which scans edges only at a twin.  A chain swaps two distinct colors:
+    a ``new_color`` equal to the edge's raises GraphError.
 
     The chain ends at its first revisit, and only ``start`` and branch
     vertices are remembered to find it.  A vertex is a branch when, on
@@ -330,6 +355,7 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
     width = cd.colors  # index slots per vertex
     branches = {start}
     steps = 1
+    owed = 0  # single-candidate draws not made yet
     carry = new_color
     old = colors[idx]
     # start is settled now, before the chain can come back to it
@@ -342,22 +368,34 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
         if e is None:
             break
         if e >= 0:
+            owed += 1
+            if at[b + old] >= 0 and node != start:
+                # a simple interior vertex: its two chain edges trade slots
+                at[b + carry] = idx
+                at[b + old] = e
+                colors[idx] = carry
+                if level[node] > 0:
+                    cd._shift(node, 0)
+                node = ends[e] ^ node
+                carry, old = old, carry
+                idx = e
+                steps += 1
+                continue
             out = e
-            while getrandbits(1):
-                pass
         else:
+            _skip_single_draws(getrandbits, owed)
+            owed = 0
             many = [i for i in adj[node].values() if colors[i] == carry]
             out = many[_randbelow(getrandbits, len(many))]
-        single = at[b + old] >= 0
-        if e < 0 or not single or node == start:
-            if node in branches:
-                break
-            branches.add(node)
+        # what is left is the start or a branch vertex
+        if node in branches:
+            break
+        branches.add(node)
         colors[idx] = carry
         # slots after the next step gives `out` the old color
         if e >= 0:
             at[b + carry] = idx
-        if single:
+        if at[b + old] >= 0:
             at[b + old] = out
             if level[node] > 0:
                 cd._shift(node, 0)
@@ -365,6 +403,7 @@ def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
         carry, old = old, carry
         idx = out
         steps += 1
+    _skip_single_draws(getrandbits, owed)
     # a level can only drop at a chain end: a continuation keeps the carried color
     colors[idx] = carry
     delta = _recolor_entries(at, b, adj[node], colors, idx, old, carry)

@@ -78,7 +78,9 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
     Rejects runs with fewer colors than the maximum degree (no proper
     coloring can exist).  A reported success is always re-checked by the
     independent verifier; if that check fails, RuntimeError is raised
-    instead of a report.  Identical graph and params (including seed)
+    instead of a report.  A verified success reports final conflictivity
+    0; a failed run reports a recount by ``conflict_level``, which shares
+    no state with the search.  Identical graph and params (including seed)
     give an identical report and final coloring.  Without a seed, one is
     drawn from the system's entropy source and reported, so the run can be
     replayed.
@@ -103,9 +105,10 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
             success = True
             break
     wall = time.perf_counter() - start
-    final = sum(conflict_level(graph, v) for v in range(graph.n))
-    if success and not (final == 0 and check_edge_coloring(graph, params.colors)):
+    if success and not check_edge_coloring(graph, params.colors):
         raise RuntimeError("success reported for an improper coloring")
+    # a verified coloring has total 0; only a failed run is recounted
+    final = 0 if success else sum(conflict_level(graph, v) for v in range(graph.n))
     return RunReport(
         success=success,
         passes=passes,

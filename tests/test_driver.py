@@ -56,6 +56,26 @@ def test_petersen_fails_with_three_colors_after_l_passes(petersen):
     assert report.final_conflictivity == ConflictDictionary(petersen, 3).total
 
 
+def test_failed_run_reports_an_independent_recount(petersen):
+    # counted from the final coloring alone, with no search structure
+    report = apply_heuristic(petersen, HeuristicParams(colors=3, seed=1))
+    assert not report.success
+    recount = sum(
+        petersen.degree(v) - len(set(petersen.incident_colors(v))) for v in range(petersen.n)
+    )
+    assert report.final_conflictivity == recount > 0
+
+
+def test_verified_success_is_not_recounted(k4, monkeypatch):
+    # the verifier vouches for a success, so no vertex is recounted after it
+    calls = []
+    monkeypatch.setattr(driver, "conflict_level", lambda *args: calls.append(args))
+    report = apply_heuristic(k4, HeuristicParams(colors=3, seed=0))
+    assert report.success
+    assert report.final_conflictivity == 0
+    assert calls == []
+
+
 def test_one_dictionary_build_per_pass(petersen, monkeypatch):
     builds = []
 

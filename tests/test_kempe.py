@@ -3,6 +3,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kempecolor import (
     ConflictDictionary,
@@ -13,6 +14,7 @@ from kempecolor import (
     random_precolor,
     random_regular_graph,
 )
+from kempecolor.conflicts import _SparseIndex, _skip_single_draws
 
 
 def path_graph(colors):
@@ -500,3 +502,100 @@ def test_chain_closing_at_a_vertex_whose_old_color_has_a_twin():
     steps, _ = run_against_reference(g, 2, s, b, 1, seed=0)
     assert steps == 5
     assert [g.edge_color(*e) for e in [(s, b), (b, t), (b, p), (p, q), (q, t)]] == [1, 1, 0, 1, 0]
+
+
+def single_draw_loops(rng, r):
+    """r ``randrange(1)`` draws as CPython makes them, one loop each."""
+    for _ in range(r):
+        while rng.getrandbits(1):
+            pass
+
+
+def test_skipped_single_draws_match_the_plain_loop():
+    # 0..2100 crosses the plain-loop threshold (8) and the 1024-word round
+    for seed in (0, 1, 2**40 + 3):
+        ref = random.Random(seed)
+        for r in range(2101):
+            rng = random.Random(seed)
+            _skip_single_draws(rng.getrandbits, r)
+            assert rng.getstate() == ref.getstate(), r
+            single_draw_loops(ref, 1)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**64), st.integers(0, 50))
+def test_skipped_single_draws_match_the_plain_loop_after_other_draws(r, seed, before):
+    # the replay starts wherever the generator stands, not only at a fresh seed
+    rng, ref = random.Random(seed), random.Random(seed)
+    rng.getrandbits(before + 1)
+    ref.getrandbits(before + 1)
+    _skip_single_draws(rng.getrandbits, r)
+    single_draw_loops(ref, r)
+    assert rng.getstate() == ref.getstate()
+
+
+LONG = 1150  # simple steps in a row, more than one 1024-word replay round
+
+
+def alternating_run(first, length, colors=(0, 1)):
+    """Edges first-(first+1)-...-(first+length), colored alternately; every
+    seventh inner vertex also gets two pendant 2-edges, so it sits at level 1."""
+    edges = [((first + i, first + i + 1), colors[i % 2]) for i in range(length)]
+    pendants = []
+    for v in range(first + 7, first + length, 7):
+        pendants.append((v, 2))
+        pendants.append((v, 2))
+    return edges, pendants
+
+
+def with_pendants(n, edges, pendants):
+    """The colored edges plus one new leaf per pendant (vertex, color)."""
+    edges = edges + [((v, n + i), c) for i, (v, c) in enumerate(pendants)]
+    return colored(n + len(pendants), edges)
+
+
+@pytest.mark.parametrize("colors", [3, 10**4])
+def test_long_simple_run_ending_without_a_continuation(colors):
+    # path of LONG + 1 edges colored 0, 1, 0, ...: the chain swaps them all
+    edges, pendants = alternating_run(0, LONG + 1)
+    g = with_pendants(LONG + 2, edges, pendants)
+    for seed in range(3):
+        steps, cd = run_against_reference(copy_colored(g), colors, 0, 1, 1, seed)
+        assert steps == LONG + 1
+        assert isinstance(cd._at, list if colors == 3 else _SparseIndex)
+
+
+@pytest.mark.parametrize("colors", [3, 10**4])
+def test_long_simple_run_reaching_a_branch_and_going_on(colors):
+    # a path of LONG edges ends at hub h, which has three edges of the color
+    # the chain carries there; each leads to a path of 40 more simple steps
+    edges, pendants = alternating_run(0, LONG)
+    h = LONG
+    carried = LONG % 2
+    n = h + 1
+    for _ in range(3):
+        edges.append(((h, n), carried))
+        tail, more = alternating_run(n, 40, (1 - carried, carried))
+        edges += tail
+        pendants += more
+        n += 41
+    g = with_pendants(n, edges, pendants)
+    for seed in range(6):
+        steps, cd = run_against_reference(copy_colored(g), colors, 0, 1, 1, seed)
+        assert steps == LONG + 41
+        assert isinstance(cd._at, list if colors == 3 else _SparseIndex)
+
+
+@pytest.mark.parametrize("colors", [3, 10**4])
+def test_long_odd_cycle_closing_on_its_start(colors):
+    # an odd cycle colored 0, 1, ..., 1, 0: vertex 0 has two 0-edges, and the
+    # chain goes all the way round and stops on coming back to it
+    n = LONG + 1 if LONG % 2 == 0 else LONG + 2
+    edges, pendants = alternating_run(0, n - 1)
+    edges.append(((n - 1, 0), 0))
+    g = with_pendants(n, edges, pendants)
+    for seed in range(3):
+        steps, cd = run_against_reference(copy_colored(g), colors, 0, 1, 1, seed)
+        assert steps == n
+        assert cd.level(0) == 1
+        assert isinstance(cd._at, list if colors == 3 else _SparseIndex)
