@@ -14,7 +14,7 @@ from .graph import (
     parse_edge_list,
 )
 from .precolor import greedy_precolor, random_precolor
-from .verifier import brute_force_chromatic_index, check_edge_coloring, properly_colored
+from .verifier import brute_force_chromatic_index, check_edge_coloring
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "odd_graph",
     "parse_coloring",
     "parse_edge_list",
-    "properly_colored",
     "random_precolor",
     "random_regular_graph",
 ]

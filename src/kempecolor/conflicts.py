@@ -35,11 +35,9 @@ from .graph import Graph, GraphError, UncoloredEdgeError
 
 
 def conflict_level(graph: Graph, v: int) -> int:
-    """degree(v) minus the number of distinct incident colors; 0 if isolated."""
-    deg = graph.degree(v)
-    if deg == 0:
-        return 0
-    return deg - graph.distinct_incident_colors(v)
+    """degree(v) minus the number of distinct incident colors."""
+    incident = graph.incident_colors(v)
+    return len(incident) - len(set(incident))
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -164,14 +162,6 @@ class ConflictDictionary:
                 self._pos[v] = len(members)
                 members.append(v)
                 self.total += lvl
-
-    def level(self, v: int) -> int:
-        return self._level[v]
-
-    def bucket_members(self, level: int) -> set[int]:
-        if 0 < level < len(self._buckets):
-            return set(self._buckets[level])
-        return set()
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
@@ -337,19 +327,30 @@ def kempe_process(
     chain repeats is therefore ``start`` or a branch vertex.  A swap keeps
     a vertex's count of chain-colored edges, so a branch vertex is still a
     branch when it is re-entered, and membership is tested only there.
+
+    ``graph`` must be the graph ``cd`` tracks; any other raises GraphError
+    before a write or a draw.
     """
+    _check_tracked(graph, cd)
     idx = graph.edge_index(start, node)
     if graph.colors[idx] == new_color:
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
-    return _chain(graph, cd, start, node, idx, new_color, rng)
+    return _chain(cd, start, node, idx, new_color, rng)
 
 
-def _chain(graph, cd, start, node, idx, new_color, rng) -> int:
-    """``kempe_process`` for edge id ``idx`` = {start, node}, whose color is not ``new_color``."""
+def _check_tracked(graph, cd: ConflictDictionary) -> None:
+    """Raise GraphError unless ``graph`` is the graph ``cd`` tracks."""
+    if graph is not cd.graph:
+        raise GraphError("the graph is not the one the conflict dictionary tracks")
+
+
+def _chain(cd, start, node, idx, new_color, rng) -> int:
+    """``kempe_process`` on ``cd``'s graph for edge id ``idx`` = {start, node},
+    whose color is not ``new_color``."""
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
-    adj = graph.adj
-    colors = graph.colors
+    adj = cd.graph.adj
+    colors = cd.graph.colors
     level, at, ends = cd._level, cd._at, cd._ends
     getrandbits = rng.getrandbits
     width = cd.colors  # index slots per vertex
@@ -422,9 +423,13 @@ def kempe_start(
     One such edge is chosen uniformly, and the new chain color is drawn
     uniformly from the colors absent at v, with the draws ``rng.choice``
     would make, and found by ``_nth_free``.
-    The colors at v must lie in [0, num_colors), as the dictionary's do.
+    ``graph`` and ``num_colors`` must be the graph and the color count
+    ``cd`` tracks; any other raises GraphError before a write or a draw.
     Returns the number of recolorings performed.
     """
+    _check_tracked(graph, cd)
+    if num_colors != cd.colors:
+        raise GraphError(f"{num_colors} colors given, but the dictionary tracks {cd.colors}")
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
     colors = graph.colors
     seen = 0
@@ -445,4 +450,4 @@ def kempe_start(
     getrandbits = rng.getrandbits
     idx = repeated[_randbelow(getrandbits, len(repeated))]
     new_color = _nth_free(seen, _randbelow(getrandbits, free))
-    return _chain(graph, cd, v, cd._ends[idx] ^ v, idx, new_color, rng)
+    return _chain(cd, v, cd._ends[idx] ^ v, idx, new_color, rng)

@@ -68,9 +68,6 @@ class Graph:
         self._check_vertex(v)
         return iter(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, in insertion order."""
         return list(self._edges)
@@ -107,12 +104,6 @@ class Graph:
                 raise UncoloredEdgeError(f"edge ({u}, {w}) incident to {v} is uncolored")
             out.append(c)
         return out
-
-    def distinct_incident_colors(self, v: int) -> int:
-        return len(set(self.incident_colors(v)))
-
-    def is_fully_colored(self) -> bool:
-        return all(c is not None for c in self.colors)
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)

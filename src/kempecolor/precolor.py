@@ -18,7 +18,9 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     Each vertex keeps its used colors as an int bitmask.  The free color
     is drawn as ``rng.choice`` over the ascending free colors would draw
     it (one ``randrange`` of their count), then found by ``_nth_free``'s
-    walk past the used colors at or below it, so no D-long list is built.
+    walk past the used colors at or below it.  A bitmask is as wide as the
+    largest color it holds, not as the degree, so with D much larger than
+    the maximum degree memory grows as n * D bits (ROADMAP item 11).
     Each ``randrange(k)`` is the ``getrandbits`` loop that
     ``Random._randbelow`` runs, called directly, so the draws are the same.
     """

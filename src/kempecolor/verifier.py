@@ -8,20 +8,14 @@ from __future__ import annotations
 from .graph import Graph, GraphError
 
 
-def properly_colored(graph: Graph, v: int, num_colors: int) -> bool:
-    """True iff v's incident colors are pairwise distinct and all in range."""
-    incident = graph.incident_colors(v)
-    return len(set(incident)) == graph.degree(v) and all(
-        0 <= c < num_colors for c in incident
-    )
-
-
 def check_edge_coloring(graph: Graph, num_colors: int) -> bool:
-    """True iff every vertex is properly colored.
+    """True iff every vertex is properly colored: its incident colors are
+    pairwise distinct and all lie in [0, num_colors).
 
     Scans vertices in label order and stops at the first one that is not
     properly colored; an uncolored edge at a vertex reached first raises
-    ``UncoloredEdgeError``, as ``properly_colored`` does.
+    ``UncoloredEdgeError``, naming that vertex's first uncolored edge in
+    insertion order, as ``Graph.incident_colors`` does.
     """
     colors = graph.colors
     for v, around in enumerate(graph.adj):

@@ -207,7 +207,7 @@ def test_criterion_7_property_suites():
             starts += 1
             assert cd.total <= before, "conflictivity increased"
             assert steps <= g.n, "chain exceeded n recolorings"
-            assert g.is_fully_colored()
+            assert None not in g.colors
 
     # seed determinism on a nontrivial instance
     from kempecolor.generators import random_regular_graph

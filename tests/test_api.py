@@ -1,6 +1,7 @@
 """The package's public surface: exported names and the Graph flat view."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +30,6 @@ PUBLIC_NAMES = [
     "odd_graph",
     "parse_coloring",
     "parse_edge_list",
-    "properly_colored",
     "random_precolor",
     "random_regular_graph",
 ]
@@ -39,6 +39,19 @@ def test_all_is_the_documented_api():
     assert sorted(kempecolor.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(kempecolor, name) is not None
+
+
+def test_readme_lists_the_exported_names():
+    # the paragraph "The package exports N names (`kempecolor.__all__`):"
+    # and its bullets, up to the next blank line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = re.search(
+        r"^The package exports (\d+) names \(`kempecolor\.__all__`\):\n", readme, re.M
+    )
+    assert head is not None
+    bullets = readme[head.end():].split("\n\n", 1)[0]
+    assert int(head.group(1)) == len(kempecolor.__all__)
+    assert set(re.findall(r"`([^`]+)`", bullets)) == set(kempecolor.__all__)
 
 
 def private_names(obj) -> set[str]:

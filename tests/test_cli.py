@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kempecolor
 from kempecolor import odd_graph
 from kempecolor.cli import main
 
@@ -358,6 +365,31 @@ def test_exit_status_table(tmp_path, monkeypatch, capsys, argv, status, message,
              for ln in out.splitlines()]
     assert lines == stdout
     assert not (tmp_path / "x.csv").exists()
+
+
+# (argv, exit status) for `python -m kempecolor.cli`, one per documented status
+PROCESS_STATUSES = [
+    (["color", "tri.txt", "-D", "3", "--seed", "0"], 0),
+    (["oddgraph", "3", "--seed", "0"], 1),  # Petersen is class 2
+    (["color", "tri.txt", "-D", "1"], 2),
+    (["color", "missing.txt"], 3),
+]
+
+
+def test_exit_statuses_of_the_module_as_a_process(tmp_path):
+    (tmp_path / "tri.txt").write_text("3 3\n0 1\n1 2\n2 0\n")
+    src = str(Path(kempecolor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, status in PROCESS_STATUSES:
+        done = subprocess.run(
+            [sys.executable, "-m", "kempecolor.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert done.returncode == status, argv
+        assert "Traceback" not in done.stderr
+        # a failed search says nothing on stderr; a usage or I/O error one line
+        want = "" if status < 2 else r"error: [^\n]+\n"
+        assert re.fullmatch(want, done.stderr), done.stderr
 
 
 def test_internal_fault_escapes_main(k4_file, monkeypatch):

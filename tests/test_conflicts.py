@@ -27,6 +27,18 @@ def star(colors):
     return g
 
 
+def checked_level(cd, v):
+    """v's level, read once ``cd`` has been checked against a recount."""
+    cd.check_consistency()
+    return conflict_level(cd.graph, v)
+
+
+def at_level(cd, level):
+    """The vertices at ``level``, read once ``cd`` has been checked against a recount."""
+    cd.check_consistency()
+    return {v for v in range(cd.graph.n) if conflict_level(cd.graph, v) == level}
+
+
 def colored_triangle(colors=(0, 0, 0)):
     g = Graph(3, [(0, 1), (1, 2), (2, 0)])
     for (u, v), c in zip(g.edges(), colors):
@@ -55,12 +67,12 @@ def test_dictionary_proper_coloring_is_empty():
     g = colored_triangle((0, 1, 2))
     cd = ConflictDictionary(g, 3)
     assert cd.total == 0
-    assert cd.bucket_members(1) == set()
+    assert at_level(cd, 1) == set()
 
 
 def test_dictionary_monochromatic_triangle():
     cd = ConflictDictionary(colored_triangle(), 3)
-    assert cd.bucket_members(1) == {0, 1, 2}
+    assert at_level(cd, 1) == {0, 1, 2}
     assert cd.total == 3
 
 
@@ -72,7 +84,7 @@ def test_dictionary_monochromatic_star_in_k4():
     g.set_edge_color(1, 3, 2)
     g.set_edge_color(2, 3, 1)
     cd = ConflictDictionary(g, 3)
-    assert 0 in cd.bucket_members(2)
+    assert 0 in at_level(cd, 2)
 
 
 def test_recolor_to_same_color_is_identity():
@@ -88,14 +100,14 @@ def test_recolor_resolving_conflict_returns_minus_one():
     cd = ConflictDictionary(g, 3)
     # variation is reported at the second endpoint, here the center
     assert cd.color_edge(1, 0, 2) == -1
-    assert cd.level(0) == 0
+    assert checked_level(cd, 0) == 0
 
 
 def test_recolor_creating_conflict_returns_plus_one():
     g = star([0, 1, 2])
     cd = ConflictDictionary(g, 3)
     assert cd.color_edge(2, 0, 0) == 1
-    assert cd.level(0) == 1
+    assert checked_level(cd, 0) == 1
 
 
 def test_color_edge_rejects_bad_inputs():
@@ -114,7 +126,7 @@ def test_color_edge_rejects_bad_inputs():
 def test_max_level():
     g = star([0, 0, 0, 1, 1])
     cd = ConflictDictionary(g, 5)
-    assert cd.level(0) == 3
+    assert checked_level(cd, 0) == 3
     assert cd.max_level() == 3
     cd.color_edge(1, 0, 2)
     cd.color_edge(2, 0, 3)
@@ -172,11 +184,11 @@ def test_single_recolor_changes_levels_by_at_most_one():
         cd = ConflictDictionary(g, colors)
         for _ in range(50):
             u, v = rng.choice(g.edges())
-            before_u, before_v = cd.level(u), cd.level(v)
+            before_u, before_v = checked_level(cd, u), checked_level(cd, v)
             variation = cd.color_edge(u, v, rng.randrange(colors))
-            assert abs(cd.level(u) - before_u) <= 1
-            assert abs(cd.level(v) - before_v) <= 1
-            assert variation == cd.level(v) - before_v
+            assert abs(checked_level(cd, u) - before_u) <= 1
+            assert abs(checked_level(cd, v) - before_v) <= 1
+            assert variation == checked_level(cd, v) - before_v
 
 
 def test_level_range_bound():
@@ -187,7 +199,7 @@ def test_level_range_bound():
         random_precolor(g, colors, rng)
         cd = ConflictDictionary(g, colors)
         for v in range(g.n):
-            assert 0 <= cd.level(v) <= max(g.degree(v) - 1, 0)
+            assert 0 <= checked_level(cd, v) <= max(g.degree(v) - 1, 0)
 
 
 def test_memory_does_not_grow_with_the_color_count():
@@ -278,7 +290,7 @@ def test_color_index_is_flat_until_colors_outgrow_the_edges():
         for c in range(3):
             assert sparse._at[v * 75 + c] == flat._at[v * 3 + c]
         assert sparse._at[v * 75 + 3] is None
-        assert flat.level(v) == sparse.level(v) == conflict_level(g, v)
+    # both compare their levels with conflict_level's recount
     flat.check_consistency()
     sparse.check_consistency()
     # 32 * 20 + 4 * 30 = 760 slots is the most a list may take here
@@ -308,13 +320,13 @@ def test_sample_max_level_draws_as_randrange():
             assert rng.getstate() == ref.getstate()
 
 
-def test_bucket_members_outside_the_levels_is_empty():
+def test_top_level_is_one_below_the_max_degree():
     # the center of a monochromatic 4-star is at level 3 = Δ - 1, the top
-    # bucket; level -1 must not wrap round to it
+    # bucket, and is the only conflicting vertex
     cd = ConflictDictionary(star([0, 0, 0, 0]), 4)
-    assert cd.bucket_members(3) == {0}
-    for level in (0, -1, 4):
-        assert cd.bucket_members(level) == set()
+    assert at_level(cd, 3) == {0}
+    assert cd.max_level() == 3
+    assert cd.total == 3
 
 
 def test_nth_free_matches_a_sorted_list():

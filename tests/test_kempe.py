@@ -9,6 +9,7 @@ from kempecolor import (
     ConflictDictionary,
     Graph,
     GraphError,
+    conflict_level,
     kempe_process,
     kempe_start,
     random_precolor,
@@ -27,6 +28,12 @@ def path_graph(colors):
 
 def edge_colors(g):
     return [g.edge_color(u, v) for u, v in g.edges()]
+
+
+def checked_level(cd, v):
+    """v's level, read once ``cd`` has been checked against a recount."""
+    cd.check_consistency()
+    return conflict_level(cd.graph, v)
 
 
 def reference_step(graph, cd, last, node, carry, rng):
@@ -107,10 +114,10 @@ def test_kempe_step_terminal_on_conflict_drop():
     g.set_edge_color(1, 2, 0)
     g.set_edge_color(1, 3, 2)
     cd = ConflictDictionary(g, 3)
-    assert cd.level(1) == 1
+    assert checked_level(cd, 1) == 1
     assert kempe_process(g, cd, 0, 1, 1, random.Random(0)) == 1
     assert edge_colors(g) == [1, 0, 2]
-    assert cd.level(1) == 0
+    assert checked_level(cd, 1) == 0
 
 
 def test_negative_variation_implies_no_continuation():
@@ -146,7 +153,7 @@ def test_kempe_step_terminal_at_chain_end():
     cd = ConflictDictionary(g, 3)
     assert kempe_process(g, cd, 0, 1, 2, random.Random(0)) == 1
     assert edge_colors(g) == [2, 1, 1]
-    assert cd.level(1) == 1
+    assert checked_level(cd, 1) == 1
 
 
 def test_kempe_process_single_recolor_chain():
@@ -167,7 +174,7 @@ def test_kempe_process_terminates_on_cycle_revisit():
     cd = ConflictDictionary(g, 2)
     steps = kempe_process(g, cd, 0, 1, 1, random.Random(0))
     assert steps <= n
-    assert g.is_fully_colored()
+    assert None not in g.colors
 
 
 def test_kempe_process_resolves_k4_conflict():
@@ -178,10 +185,10 @@ def test_kempe_process_resolves_k4_conflict():
         for (u, v), c in coloring.items():
             g.set_edge_color(u, v, c)
         cd = ConflictDictionary(g, 3)
-        assert cd.level(0) == 1
+        assert checked_level(cd, 0) == 1
         before = cd.total
         kempe_start(g, cd, 3, 0, random.Random(seed))
-        assert cd.level(0) == 0
+        assert checked_level(cd, 0) == 0
         assert cd.total <= before
 
 
@@ -194,7 +201,7 @@ def test_kempe_start_forced_new_color():
         cd = ConflictDictionary(g, 3)
         kempe_start(g, cd, 3, 0, random.Random(seed))
         assert 2 in g.incident_colors(0)
-        assert cd.level(0) == 0
+        assert checked_level(cd, 0) == 0
 
 
 def test_kempe_start_random_new_color_is_uniform():
@@ -244,7 +251,7 @@ def test_kempe_start_never_increases_conflictivity():
         steps = kempe_start(g, cd, colors, v, rng)
         assert cd.total <= before
         assert steps <= g.n
-        assert g.is_fully_colored()
+        assert None not in g.colors
         cd.check_consistency()
         runs += 1
 
@@ -273,11 +280,16 @@ def copy_colored(graph):
 
 
 def dictionary_state(graph, cd):
-    """Colors, levels, and every nonempty bucket in its internal order."""
+    """Colors, levels, and every nonempty bucket in its internal order.
+
+    ``cd`` is checked against a recount first, so its cached levels are
+    the recounted ones.
+    """
+    cd.check_consistency()
     buckets = {lvl: list(b) for lvl, b in enumerate(cd._buckets) if b}
     return (
         [graph.edge_color(u, v) for u, v in graph.edges()],
-        [cd.level(v) for v in range(graph.n)],
+        [conflict_level(graph, v) for v in range(graph.n)],
         cd.total,
         buckets,
     )
@@ -398,7 +410,7 @@ def test_interior_vertex_back_at_its_level_moves_to_bucket_end():
     assert list(before._buckets[1]) == [1, 5, 8]
     steps, cd = run_against_reference(g, 3, 0, 1, 1, seed=0)
     assert steps == 2
-    assert cd.level(1) == 1
+    assert checked_level(cd, 1) == 1
     assert list(cd._buckets[1]) == [8, 5, 1]
 
 
@@ -413,7 +425,7 @@ def test_interior_vertex_with_a_twin_keeps_its_bucket_place():
     assert list(before._buckets[2]) == [1, 6, 10]
     steps, cd = run_against_reference(g, 3, 0, 1, 1, seed=0)
     assert steps == 2
-    assert cd.level(1) == 2
+    assert checked_level(cd, 1) == 2
     assert list(cd._buckets[2]) == [1, 6, 10]
 
 
@@ -429,6 +441,59 @@ def test_kempe_process_rejects_the_edges_own_color():
     assert edge_colors(g) == [0, 0, 1]
     cd.check_consistency()
     assert rng.getstate() == state
+
+
+def mismatched_pair(seed):
+    """Two randomly colored cubic graphs on 40 vertices, a dictionary of the
+    first, and a most conflicting vertex of the second."""
+    rng = random.Random(seed)
+    g1, g2 = random_regular_graph(40, 3, rng), random_regular_graph(40, 3, rng)
+    random_precolor(g1, 3, rng)
+    random_precolor(g2, 3, rng)
+    v = max(range(g2.n), key=lambda x: conflict_level(g2, x))
+    return g1, g2, ConflictDictionary(g1, 3), v
+
+
+def assert_refused(call, graphs, cd, rng, match):
+    """``call`` raises GraphError before any write to ``graphs`` or draw from ``rng``."""
+    colors, state = [list(g.colors) for g in graphs], rng.getstate()
+    with pytest.raises(GraphError, match=match):
+        call()
+    assert [g.colors for g in graphs] == colors
+    assert rng.getstate() == state
+    cd.check_consistency()
+
+
+def test_kempe_start_rejects_a_graph_its_dictionary_does_not_track():
+    for seed in range(30):
+        g1, g2, cd, v = mismatched_pair(seed)
+        rng = random.Random(seed)
+        assert_refused(lambda: kempe_start(g2, cd, 3, v, rng), (g1, g2), cd, rng, "not the one")
+        # an equal copy is still another graph
+        twin = copy_colored(g1)
+        assert_refused(lambda: kempe_start(twin, cd, 3, v, rng), (g1, twin), cd, rng, "not the one")
+
+
+def test_kempe_start_rejects_a_color_count_its_dictionary_does_not_track():
+    for seed in range(30):
+        g1, _, cd, _ = mismatched_pair(seed)
+        v = max(range(g1.n), key=lambda x: conflict_level(g1, x))
+        rng = random.Random(seed)
+        for num_colors in (2, 4):
+            assert_refused(
+                lambda: kempe_start(g1, cd, num_colors, v, rng), (g1,), cd, rng, "tracks 3"
+            )
+
+
+def test_kempe_process_rejects_a_graph_its_dictionary_does_not_track():
+    for seed in range(30):
+        g1, g2, cd, _ = mismatched_pair(seed)
+        rng = random.Random(seed)
+        u, v = g2.edges()[seed]
+        c = (g2.edge_color(u, v) + 1) % 3
+        assert_refused(
+            lambda: kempe_process(g2, cd, u, v, c, rng), (g1, g2), cd, rng, "not the one"
+        )
 
 
 def test_chain_closing_on_its_start_vertex():
@@ -450,7 +515,7 @@ def test_chain_closing_on_its_start_vertex_through_its_last_old_edge():
     steps, cd = run_against_reference(g, 2, 0, 1, 1, seed=0)
     assert steps == 3
     assert edge_colors(g) == [1, 0, 1]
-    assert cd.level(0) == 1
+    assert checked_level(cd, 0) == 1
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
@@ -597,5 +662,5 @@ def test_long_odd_cycle_closing_on_its_start(colors):
     for seed in range(3):
         steps, cd = run_against_reference(copy_colored(g), colors, 0, 1, 1, seed)
         assert steps == n
-        assert cd.level(0) == 1
+        assert checked_level(cd, 0) == 1
         assert isinstance(cd._at, list if colors == 3 else _SparseIndex)

@@ -17,7 +17,7 @@ def test_greedy_star_is_always_proper():
     for seed in range(200):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         greedy_precolor(g, 3, random.Random(seed))
-        assert g.distinct_incident_colors(0) == 3
+        assert len(set(g.incident_colors(0))) == 3
         assert ConflictDictionary(g, 3).total == 0
 
 
@@ -34,7 +34,7 @@ def test_greedy_k4_total_and_no_worse_than_random():
     for seed in range(1000):
         g = Graph(4, k4_edges)
         greedy_precolor(g, 3, random.Random(seed))
-        assert g.is_fully_colored()
+        assert None not in g.colors
         greedy_totals.append(ConflictDictionary(g, 3).total)
         random_precolor(g, 3, random.Random(seed))
         random_totals.append(ConflictDictionary(g, 3).total)
@@ -148,7 +148,7 @@ def test_totality_both_modes():
         for mode in (greedy_precolor, random_precolor):
             g = Graph(n, edges)
             mode(g, 4, rng)
-            assert g.is_fully_colored()
+            assert None not in g.colors
 
 
 @pytest.mark.parametrize("num_colors", [1, 2, 3, 5, 15, 64, 65, 50_000])

@@ -13,7 +13,6 @@ from kempecolor import (
     apply_heuristic,
     brute_force_chromatic_index,
     check_edge_coloring,
-    properly_colored,
     random_precolor,
 )
 
@@ -26,15 +25,15 @@ def star(colors):
 
 
 def test_properly_colored_distinct():
-    assert properly_colored(star([0, 1, 2]), 0, 3)
+    assert check_edge_coloring(star([0, 1, 2]), 3)
 
 
 def test_properly_colored_repeat():
-    assert not properly_colored(star([0, 0, 1]), 0, 3)
+    assert not check_edge_coloring(star([0, 0, 1]), 3)
 
 
 def test_properly_colored_out_of_range():
-    assert not properly_colored(star([0, 1, 3]), 0, 3)
+    assert not check_edge_coloring(star([0, 1, 3]), 3)
 
 
 def test_check_coloring_after_successful_run(k4):
@@ -119,7 +118,14 @@ def outcome(check, graph, num_colors):
 
 
 def reference_check(graph, num_colors):
-    return all(properly_colored(graph, v, num_colors) for v in range(graph.n))
+    """Vertex by vertex: distinct incident colors, all in range."""
+    for v in range(graph.n):
+        incident = graph.incident_colors(v)  # raises at an uncolored edge
+        if len(set(incident)) != len(incident) or not all(
+            0 <= c < num_colors for c in incident
+        ):
+            return False
+    return True
 
 
 def test_check_matches_per_vertex_reference():
