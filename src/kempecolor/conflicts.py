@@ -136,8 +136,13 @@ class ConflictDictionary:
             # kempe_start's free-color rank walk assumes colors in [0, D)
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
-        at = _new_index(graph, colors)
-        level = []
+        self._at = at = _new_index(graph, colors)
+        self._ends = [u ^ v for u, v in graph.edges()]
+        self._level = [0] * graph.n
+        # a level never exceeds degree - 1, so every bucket exists up front
+        self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
+        self._pos = [0] * graph.n
+        self.total = 0
         for v, around in enumerate(graph.adj):
             b = v * colors
             distinct = 0
@@ -148,20 +153,8 @@ class ConflictDictionary:
                     distinct += 1
                 else:
                     at[k] = -1
-            level.append(len(around) - distinct)
-        self._at = at
-        self._ends = [u ^ v for u, v in graph.edges()]
-        self._level = level
-        # a level never exceeds degree - 1, so every bucket exists up front
-        self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
-        self._pos = [0] * graph.n
-        self.total = 0
-        for v, lvl in enumerate(level):
-            if lvl > 0:
-                members = self._buckets[lvl]
-                self._pos[v] = len(members)
-                members.append(v)
-                self.total += lvl
+            if distinct < len(around):
+                self._shift(v, len(around) - distinct)
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
@@ -183,9 +176,8 @@ class ConflictDictionary:
         """Recolor edge {u, v} and update both endpoints.
 
         Returns the conflict-level change at v, the second endpoint.  The
-        validated single-edge form of the update that ``kempe_process``
-        applies inline along a chain.  Each endpoint's change and index
-        slots come from a scan of its other edges, not from the index.
+        validated single-edge form of a chain step: each endpoint gets the
+        ``_recolor`` update that a Kempe chain applies at its two ends.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
@@ -195,27 +187,37 @@ class ConflictDictionary:
         if old == color:
             return 0
         colors[idx] = color
-        for x in (u, v):
-            others = [i for i in self.graph.adj[x].values() if i != idx]
-            joined = [i for i in others if colors[i] == color]
-            left = [i for i in others if colors[i] == old]
-            at, b = self._at, x * self.colors
-            at[b + color] = -1 if joined else idx
-            if len(left) == 1:
-                at[b + old] = left[0]
-            elif not left:
-                _clear(at, b + old)
-            delta = bool(joined) - bool(left)
-            if delta:
-                self._shift(x, delta)
+        self._recolor(u, idx, old, color)
+        return self._recolor(v, idx, old, color)
+
+    def _recolor(self, x: int, idx: int, old: int, new: int) -> int:
+        """Update x's color index for edge ``idx`` going from ``old`` to
+        ``new``, apply x's level change through ``_shift`` and return it.
+
+        x's edges are scanned only when another edge keeps ``old`` (a twin),
+        to find whether exactly one does.
+        """
+        at, b = self._at, x * self.colors
+        delta = 0 if at[b + new] is None else 1
+        at[b + new] = -1 if delta else idx
+        if at[b + old] >= 0:
+            _clear(at, b + old)
+        else:
+            colors = self.graph.colors
+            rest = [i for i in self.graph.adj[x].values() if i != idx and colors[i] == old]
+            at[b + old] = rest[0] if len(rest) == 1 else -1
+            delta -= 1
+        if delta:
+            self._shift(x, delta)
         return delta
 
     def _shift(self, v: int, delta: int) -> None:
         """Add delta to v's level and move v to the end of its new bucket.
 
-        After ``__init__`` this is the only writer of levels, buckets and
-        the total.  v leaves its bucket by taking the last member into its
-        slot, so with delta 0 it only swaps places with that last member.
+        This is the only writer of levels, buckets, bucket positions and the
+        total; ``__init__`` joins each conflicting vertex through it.  v
+        leaves its bucket by taking the last member into its slot, so with
+        delta 0 it only swaps places with that last member.
         """
         level, buckets, pos = self._level, self._buckets, self._pos
         lvl = level[v]
@@ -270,24 +272,6 @@ class ConflictDictionary:
                 raise RuntimeError(f"bucket {lvl} positions out of sync")
 
 
-def _recolor_entries(at, b: int, around, colors, idx: int, old: int, new: int) -> int:
-    """Update one vertex's color index for edge ``idx`` going from ``old`` to ``new``.
-
-    The vertex's slots start at ``b`` in the index ``at``, and ``around`` is
-    its adjacency.  Returns its level change.  The vertex's edges are
-    scanned only when another edge keeps ``old`` (a twin), to find whether
-    exactly one does.
-    """
-    gained = at[b + new] is not None
-    at[b + new] = -1 if gained else idx
-    if at[b + old] >= 0:
-        _clear(at, b + old)
-        return gained
-    rest = [i for i in around.values() if i != idx and colors[i] == old]
-    at[b + old] = rest[0] if len(rest) == 1 else -1
-    return gained - 1
-
-
 def kempe_process(
     graph, cd: ConflictDictionary, start: int, node: int, new_color: int, rng: random.Random
 ) -> int:
@@ -312,9 +296,10 @@ def kempe_process(
     hands the carried color on and takes the old one back, so its slots
     are set to their final values at once; without a twin, its level goes
     up by one and straight back, which only moves it to the end of its
-    bucket.  ``start`` and the terminal ``node`` get the general update,
-    which scans edges only at a twin.  A chain swaps two distinct colors:
-    a ``new_color`` equal to the edge's raises GraphError.
+    bucket.  ``start`` and the terminal ``node`` get ``color_edge``'s
+    update, ``ConflictDictionary._recolor``, which scans edges only at a
+    twin.  A chain swaps two distinct colors: a ``new_color`` equal to the
+    edge's raises GraphError.
 
     The chain ends at its first revisit, and only ``start`` and branch
     vertices are remembered to find it.  A vertex is a branch when, on
@@ -360,9 +345,7 @@ def _chain(cd, start, node, idx, new_color, rng) -> int:
     carry = new_color
     old = colors[idx]
     # start is settled now, before the chain can come back to it
-    delta = _recolor_entries(at, start * width, adj[start], colors, idx, old, carry)
-    if delta:
-        cd._shift(start, delta)
+    cd._recolor(start, idx, old, carry)
     while True:
         b = node * width
         e = at[b + carry]
@@ -407,9 +390,7 @@ def _chain(cd, start, node, idx, new_color, rng) -> int:
     _skip_single_draws(getrandbits, owed)
     # a level can only drop at a chain end: a continuation keeps the carried color
     colors[idx] = carry
-    delta = _recolor_entries(at, b, adj[node], colors, idx, old, carry)
-    if delta:
-        cd._shift(node, delta)
+    cd._recolor(node, idx, old, carry)
     return steps
 
 

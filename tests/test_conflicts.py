@@ -15,7 +15,7 @@ from kempecolor import (
     random_precolor,
     random_regular_graph,
 )
-from kempecolor.conflicts import _nth_free
+from kempecolor.conflicts import _nth_free, _SparseIndex
 
 
 def star(colors):
@@ -161,18 +161,29 @@ def random_simple_graph(rng, max_n=10):
     return Graph(n, rng.sample(possible, k))
 
 
-def test_incremental_matches_scratch_on_random_sequences():
+def recolor_at_random_against_scratch(sparse):
+    # 2Δ + 40 colors outgrow 32 slots per vertex plus 4 per edge
     rng = random.Random(20240817)
     for _ in range(30):
         g = random_simple_graph(rng)
-        colors = max(2, g.max_degree())
+        colors = 2 * g.max_degree() + 40 if sparse else max(2, g.max_degree())
         random_precolor(g, colors, rng)
         cd = ConflictDictionary(g, colors)
+        if sparse:
+            assert isinstance(cd._at, _SparseIndex)
         edges = g.edges()
         for _ in range(100):
             u, v = rng.choice(edges)
             cd.color_edge(u, v, rng.randrange(colors))
             cd.check_consistency()
+
+
+def test_incremental_matches_scratch_on_random_sequences():
+    recolor_at_random_against_scratch(sparse=False)
+
+
+def test_incremental_matches_scratch_on_random_sequences_on_the_dict_index():
+    recolor_at_random_against_scratch(sparse=True)
 
 
 def test_single_recolor_changes_levels_by_at_most_one():

@@ -48,6 +48,8 @@ CASES = [
     ("d15-100-a", ("regular", 100, 15, 41), 15, 51, "greedy"),
     ("d15-100-b", ("regular", 100, 15, 42), 15, 52, "greedy"),
     ("d15-100-random", ("regular", 100, 15, 43), 15, 53, "random"),
+    # D = 100 > 2Δ + 32 = 62: the color index is a _SparseIndex dict
+    ("d15-100-random-sparse", ("regular", 100, 15, 44), 100, 54, "random"),
     ("odd-5", ("odd", 5), 5, 61, "greedy"),
     ("odd-6", ("odd", 6), 6, 62, "greedy"),
     ("odd-7", ("odd", 7), 7, 63, "greedy"),
