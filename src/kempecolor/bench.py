@@ -85,19 +85,19 @@ def run_sweep(
 
     Without ``params`` every run uses the ``HeuristicParams`` defaults.
     Every (degree, size) cell is checked before the first instance runs.
+    Instance i of every cell runs before instance i + 1 of any, so host
+    drift hits all cells alike; records are sorted by (degree, size, instance).
     """
     if not (degrees and sizes and instances > 0):
         raise ParameterError("a sweep needs a degree, a size and at least one instance")
-    for d in sorted(degrees):
-        for n in sorted(sizes):
-            check_regular_parameters(n, d)
+    cells = [(d, n) for d in sorted(degrees) for n in sorted(sizes)]
+    for d, n in cells:
+        check_regular_parameters(n, d)
     if params is None:
         params = HeuristicParams(colors=0)
-    records = []
-    for d in sorted(degrees):
-        for n in sorted(sizes):
-            for i in range(instances):
-                records.append(run_instance(d, n, i, base_seed, params))
+    records = [
+        run_instance(d, n, i, base_seed, params) for i in range(instances) for d, n in cells
+    ]
     records.sort(key=lambda r: (r.d, r.n, r.instance))
     return records
 

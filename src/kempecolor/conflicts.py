@@ -130,14 +130,15 @@ class ConflictDictionary:
         self.graph = graph
         self.colors = colors
         edge_colors = graph.colors
-        for (u, v), c in zip(graph.edges(), edge_colors):
+        edges = graph.edges()
+        for (u, v), c in zip(edges, edge_colors):
             if c is None:
                 raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
             # kempe_start's free-color rank walk assumes colors in [0, D)
             if not (0 <= c < colors):
                 raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
         self._at = at = _new_index(graph, colors)
-        self._ends = [u ^ v for u, v in graph.edges()]
+        self._ends = [u ^ v for u, v in edges]
         self._level = [0] * graph.n
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
@@ -251,13 +252,14 @@ class ConflictDictionary:
         """
         graph, colors = self.graph, self.colors
         at = _new_index(graph, colors)
-        for i, ((u, v), c) in enumerate(zip(graph.edges(), graph.colors)):
+        edges = graph.edges()
+        for i, ((u, v), c) in enumerate(zip(edges, graph.colors)):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
             for x in (u, v):
                 k = x * colors + c
                 at[k] = i if at[k] is None else -1
-        if self._at != at or self._ends != [u ^ v for u, v in graph.edges()]:
+        if self._at != at or self._ends != [u ^ v for u, v in edges]:
             raise RuntimeError("stale color index")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
         if self._level != levels:
@@ -298,8 +300,9 @@ def kempe_process(
     up by one and straight back, which only moves it to the end of its
     bucket.  ``start`` and the terminal ``node`` get ``color_edge``'s
     update, ``ConflictDictionary._recolor``, which scans edges only at a
-    twin.  A chain swaps two distinct colors: a ``new_color`` equal to the
-    edge's raises GraphError.
+    twin.  A chain swaps two distinct colors of [0, D): a ``new_color``
+    equal to the edge's, or outside that range, raises GraphError before
+    a write or a draw.
 
     The chain ends at its first revisit, and only ``start`` and branch
     vertices are remembered to find it.  A vertex is a branch when, on
@@ -320,6 +323,8 @@ def kempe_process(
     idx = graph.edge_index(start, node)
     if graph.colors[idx] == new_color:
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
+    if not (0 <= new_color < cd.colors):
+        raise GraphError(f"color {new_color} outside [0, {cd.colors})")
     return _chain(cd, start, node, idx, new_color, rng)
 
 
@@ -331,9 +336,7 @@ def _check_tracked(graph, cd: ConflictDictionary) -> None:
 
 def _chain(cd, start, node, idx, new_color, rng) -> int:
     """``kempe_process`` on ``cd``'s graph for edge id ``idx`` = {start, node},
-    whose color is not ``new_color``."""
-    if not (0 <= new_color < cd.colors):
-        raise GraphError(f"color {new_color} outside [0, {cd.colors})")
+    whose color is not ``new_color``, a color its caller keeps in [0, D)."""
     adj = cd.graph.adj
     colors = cd.graph.colors
     level, at, ends = cd._level, cd._at, cd._ends

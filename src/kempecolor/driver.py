@@ -48,27 +48,21 @@ def heuristic_pass(
     """One pass over a totally colored graph; True iff all conflicts resolved.
 
     Repeatedly samples a vertex from the highest nonempty conflict bucket
-    and launches a chain from it.  A counter of consecutive choices that
-    failed to improve on the best conflictivity seen this pass triggers
-    failure once it exceeds the repetition limit; it resets only on strict
-    improvement below that best.
+    and launches a chain from it, until the conflictivity reaches 0.  A
+    counter of consecutive chains that do not lower the conflictivity
+    below the best seen this pass ends the pass in failure once it exceeds
+    the repetition limit; a new best resets it.
     """
     cd = ConflictDictionary(graph, colors)
-    best = cd.total
-    counter = 0
-    while best > 0:
-        v = cd.sample_max_level(rng)
-        kempe_start(graph, cd, colors, v, rng)
-        current = cd.total
-        if current == 0:
-            return True
-        if current >= best:
+    best, counter = cd.total, 0
+    while cd.total:
+        kempe_start(graph, cd, colors, cd.sample_max_level(rng), rng)
+        if cd.total < best:
+            best, counter = cd.total, 0
+        else:
             counter += 1
             if counter > repetition_limit:
                 return False
-        else:
-            counter = 0
-        best = min(best, current)
     return True
 
 

@@ -30,8 +30,7 @@ class Graph:
     - ``colors[id]`` is that edge's color, or ``None`` if uncolored.
 
     A write through ``colors`` bypasses conflict tracking, as
-    ``set_edge_color`` does.  Both lists live as long as the graph:
-    ``clear_colors`` resets ``colors`` to ``None`` in place.
+    ``set_edge_color`` does.  Both lists live as long as the graph.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -89,9 +88,6 @@ class Graph:
 
     def color_of_index(self, idx: int) -> int | None:
         return self.colors[idx]
-
-    def clear_colors(self) -> None:
-        self.colors[:] = [None] * len(self.colors)
 
     def incident_colors(self, v: int) -> list[int]:
         """Colors on the edges incident to v; raises if any is unset."""

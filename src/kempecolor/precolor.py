@@ -13,7 +13,8 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
 
     Edges are visited in ascending (min, max) order.  When every color
     already appears at an endpoint, a uniform random color is forced.
-    All previous colors are cleared first.
+    With edges and fewer than one color it raises ValueError before any
+    write or draw; otherwise every edge gets a color and none is read.
 
     Each vertex keeps its used colors as an int bitmask.  The free color
     is drawn as ``rng.choice`` over the ascending free colors would draw
@@ -24,14 +25,13 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     Each ``randrange(k)`` is the ``getrandbits`` loop that
     ``Random._randbelow`` runs, called directly, so the draws are the same.
     """
-    graph.clear_colors()
+    if graph.colors and num_colors < 1:
+        raise ValueError(f"cannot color edges with {num_colors} colors")
     adj = graph.adj
     colors = graph.colors
     getrandbits = rng.getrandbits
     used = [0] * graph.n
     edges = graph.edges()
-    if edges and num_colors < 1:
-        raise ValueError(f"cannot color edges with {num_colors} colors")
     edges.sort()
     for u, v in edges:
         taken = used[u] | used[v]

@@ -178,12 +178,3 @@ def test_traced_names_are_globals_the_code_calls(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == "coloring: valid\n"
     assert set(calls) == {f"{module.__name__}.{name}" for module, name in TRACED_NAMES}
 
-
-def test_clear_colors_keeps_the_colors_list():
-    g = Graph(3, [(0, 1), (1, 2)])
-    view = g.colors
-    g.set_edge_color(0, 1, 0)
-    g.colors[1] = 1
-    g.clear_colors()
-    assert g.colors is view
-    assert view == [None, None]

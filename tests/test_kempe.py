@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -10,6 +11,8 @@ from kempecolor import (
     Graph,
     GraphError,
     conflict_level,
+    greedy_precolor,
+    heuristic_pass,
     kempe_process,
     kempe_start,
     random_precolor,
@@ -363,8 +366,12 @@ def test_kempe_start_matches_reference_with_many_colors():
 def test_kempe_process_rejects_color_out_of_range():
     g = path_graph([0, 1])
     cd = ConflictDictionary(g, 3)
-    with pytest.raises(GraphError):
-        kempe_process(g, cd, 0, 1, 3, random.Random(0))
+    rng = random.Random(0)
+    for c in (3, -1):
+        message = re.escape(f"color {c} outside [0, 3)")
+        assert_refused(lambda: kempe_process(g, cd, 0, 1, c, rng), (g,), cd, rng, message)
+        # a missing edge is reported before the color
+        assert_refused(lambda: kempe_process(g, cd, 0, 2, c, rng), (g,), cd, rng, "does not exist")
     assert [g.edge_color(u, v) for u, v in g.edges()] == [0, 1]
 
 
@@ -664,3 +671,64 @@ def test_long_odd_cycle_closing_on_its_start(colors):
         assert steps == n
         assert checked_level(cd, 0) == 1
         assert isinstance(cd._at, list if colors == 3 else _SparseIndex)
+
+
+def reference_pass(graph, colors, repetition_limit, rng):
+    """heuristic_pass with reference_start's chains, which recolor through
+    ``color_edge``, and its counter rule written out step by step."""
+    cd = ConflictDictionary(graph, colors)
+    best = cd.total
+    counter = 0
+    while best > 0:
+        v = cd.sample_max_level(rng)
+        reference_start(graph, cd, colors, v, rng)
+        current = cd.total
+        if current == 0:
+            return True
+        if current >= best:
+            counter += 1
+            if counter > repetition_limit:
+                return False
+        else:
+            counter = 0
+        best = min(best, current)
+    return True
+
+
+def pass_graph(kind, n, d, rng):
+    """A random graph of the given kind on n vertices, around degree d."""
+    if kind == "hub":
+        # vertex 0 is joined to all others, which share a sparse rest
+        rest = list(combinations(range(1, n), 2))
+        spokes = [(0, v) for v in range(1, n)]
+        return Graph(n, spokes + rng.sample(rest, min(len(rest), n * d // 2)))
+    g = random_regular_graph(n + (n * d) % 2, d, rng)
+    if kind == "isolated":
+        return Graph(g.n + n // 2, g.edges())
+    return g
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["regular", "hub", "isolated"]),
+    st.integers(5, 16),
+    st.integers(2, 4),
+    st.sampled_from(["delta", "delta+1", "2delta+40"]),
+    st.sampled_from([greedy_precolor, random_precolor]),
+    st.sampled_from([0, 1, 2, 5, 50]),
+    st.integers(0, 2**32),
+)
+def test_pass_matches_whole_pass_reference(kind, n, d, width, precolor, limit, seed):
+    # D = delta often leaves a class 2 graph at the repetition limit, and
+    # 2 delta + 40 puts the color index in its dict form
+    rng = random.Random(seed)
+    g = pass_graph(kind, n, d, rng)
+    delta = g.max_degree()
+    colors = {"delta": delta, "delta+1": delta + 1, "2delta+40": 2 * delta + 40}[width]
+    precolor(g, colors, rng)
+    twin = copy_colored(g)
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    solved = heuristic_pass(g, colors, limit, fast_rng)
+    assert solved == reference_pass(twin, colors, limit, ref_rng)
+    assert g.colors == twin.colors
+    assert fast_rng.getstate() == ref_rng.getstate()

@@ -48,6 +48,25 @@ def test_greedy_clears_previous_colors():
     assert all(g.edge_color(u, v) in (0, 1) for u, v in g.edges())
 
 
+def test_greedy_without_colors_raises_before_any_write():
+    # a coloring call keeps the graph's one colors list; a call without
+    # colors leaves the edges' colors and the generator as they were, and
+    # without edges it is a no-op
+    g = Graph(3, [(0, 1), (1, 2)])
+    view = g.colors
+    greedy_precolor(g, 2, random.Random(0))
+    assert g.colors is view
+    before = list(view)
+    for num_colors in (0, -1):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"{num_colors} colors"):
+            greedy_precolor(g, num_colors, rng)
+        assert g.colors == before and rng.getstate() == state
+        greedy_precolor(Graph(3, []), num_colors, rng)
+        assert rng.getstate() == state
+
+
 def test_greedy_local_optimality():
     # replaying the greedy order: a clashing color is legal only when every
     # color was already used at the endpoints at assignment time
@@ -67,18 +86,19 @@ def test_greedy_local_optimality():
 
 
 def reference_greedy(graph, num_colors, rng):
-    """Greedy pre-coloring with a set of used colors and a D-long free list per edge."""
-    graph.clear_colors()
+    """Greedy pre-coloring with a set of used colors and a D-long free list
+    per edge; only the colors given in this call count as used."""
     adj = graph.adj
-    colors = graph.colors
+    given = [None] * graph.m
     for u, v in sorted(graph.edges()):
-        used = {colors[idx] for idx in adj[u].values()}
-        used.update(colors[idx] for idx in adj[v].values())
+        used = {given[idx] for idx in adj[u].values()}
+        used.update(given[idx] for idx in adj[v].values())
         available = [c for c in range(num_colors) if c not in used]
         if available:
-            colors[adj[u][v]] = rng.choice(available)
+            given[adj[u][v]] = rng.choice(available)
         else:
-            colors[adj[u][v]] = rng.randrange(num_colors)
+            given[adj[u][v]] = rng.randrange(num_colors)
+    graph.colors[:] = given
 
 
 def assert_greedy_matches_reference(g, num_colors, seed):
