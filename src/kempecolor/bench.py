@@ -30,14 +30,12 @@ CSV_FIELDS = [
 
 
 @dataclass
-class BenchRecord:
+class BenchRecord(RunReport):
+    """One run's report plus the cell and instance it ran."""
+
     d: int
     n: int
     instance: int
-    seed: int
-    success: bool
-    passes: int
-    wall_time: float
 
     @property
     def time_per_pass(self) -> float:
@@ -62,16 +60,8 @@ def run_instance(
     rng = random.Random(seed)
     graph = random_regular_graph(n, d, rng)
     # wall time covers the coloring run only, not generation or I/O
-    report: RunReport = apply_heuristic(graph, replace(params, colors=d, seed=seed))
-    return BenchRecord(
-        d=d,
-        n=n,
-        instance=instance,
-        seed=seed,
-        success=report.success,
-        passes=report.passes,
-        wall_time=report.wall_time,
-    )
+    report = apply_heuristic(graph, replace(params, colors=d, seed=seed))
+    return BenchRecord(**vars(report), d=d, n=n, instance=instance)
 
 
 def run_sweep(
@@ -79,7 +69,7 @@ def run_sweep(
     sizes: list[int],
     instances: int,
     base_seed: int,
-    params: HeuristicParams | None = None,
+    params: HeuristicParams = HeuristicParams(colors=0),
 ) -> list[BenchRecord]:
     """Run every (degree, size, instance); ``params`` as in ``run_instance``.
 
@@ -93,8 +83,6 @@ def run_sweep(
     cells = [(d, n) for d in sorted(degrees) for n in sorted(sizes)]
     for d, n in cells:
         check_regular_parameters(n, d)
-    if params is None:
-        params = HeuristicParams(colors=0)
     records = [
         run_instance(d, n, i, base_seed, params) for i in range(instances) for d, n in cells
     ]

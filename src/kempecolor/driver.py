@@ -16,7 +16,7 @@ class ParameterError(ValueError):
     """Run parameters incompatible with the target graph."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeuristicParams:
     colors: int
     repetition_limit: int = 50
@@ -35,6 +35,15 @@ class HeuristicParams:
 
 @dataclass
 class RunReport:
+    """One run: whether it succeeded, how many passes it made (each a fresh
+    pre-coloring and its search), their wall time in seconds, and the seed
+    it used, drawn if the params gave none.
+
+    ``final_conflictivity`` is the conflicts left in the final coloring,
+    the sum over vertices of degree minus distinct incident colors: 0
+    after a verified success, and positive after a failed run.
+    """
+
     success: bool
     passes: int
     wall_time: float
@@ -90,13 +99,10 @@ def apply_heuristic(graph: Graph, params: HeuristicParams) -> RunReport:
     rng = random.Random(seed)
     precolor = greedy_precolor if params.precolor_mode == "greedy" else random_precolor
     start = time.perf_counter()
-    success = False
-    passes = 0
-    for _ in range(params.iteration_limit):
-        passes += 1
+    for passes in range(1, params.iteration_limit + 1):
         precolor(graph, params.colors, rng)
-        if heuristic_pass(graph, params.colors, params.repetition_limit, rng):
-            success = True
+        success = heuristic_pass(graph, params.colors, params.repetition_limit, rng)
+        if success:
             break
     wall = time.perf_counter() - start
     if success and not check_edge_coloring(graph, params.colors):

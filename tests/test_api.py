@@ -152,6 +152,9 @@ def test_only_cli_main_maps_errors_to_statuses():
 # names perfbench's tracer swaps for timing wrappers
 TRACED_NAMES = [
     (driver, "greedy_precolor"),
+    (driver, "heuristic_pass"),
+    (driver, "kempe_start"),
+    (driver, "ConflictDictionary"),
     (driver, "check_edge_coloring"),
     (cli, "read_edge_list"),
     (cli, "read_coloring"),
@@ -171,6 +174,11 @@ def test_traced_names_are_globals_the_code_calls(monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(module, name, counted)
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert driver.apply_heuristic(g, HeuristicParams(colors=3, seed=0)).success
+    # K4 at seed 0 starts no chain; Petersen with 3 colors does
+    petersen = kempecolor.odd_graph(3)
+    assert not driver.apply_heuristic(
+        petersen, HeuristicParams(colors=3, seed=0, iteration_limit=1)
+    ).success
     graph_path, coloring_path = tmp_path / "graph.txt", tmp_path / "coloring.txt"
     graph_path.write_text("4 6\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
     coloring_path.write_text(kempecolor.format_coloring(g))

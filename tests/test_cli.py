@@ -1,13 +1,22 @@
 import os
+import random
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import kempecolor
-from kempecolor import odd_graph
+from kempecolor import (
+    HeuristicParams,
+    RunReport,
+    apply_heuristic,
+    instance_seed,
+    odd_graph,
+    random_regular_graph,
+)
 from kempecolor.cli import main
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -207,6 +216,18 @@ def test_bench_reproducible_modulo_timing(tmp_path):
     assert main(args + ["--csv", str(a)]) == 0
     assert main(args + ["--csv", str(b)]) == 0
     assert _strip_time_columns(a.read_text()) == _strip_time_columns(b.read_text())
+
+
+def test_bench_record_is_the_run_report_plus_its_cell():
+    import kempecolor.bench as bench
+
+    record = bench.run_instance(3, 20, 1, 42, HeuristicParams(colors=0, iteration_limit=3))
+    seed = instance_seed(42, 3, 20, 1)
+    graph = random_regular_graph(20, 3, random.Random(seed))
+    report = apply_heuristic(graph, HeuristicParams(colors=3, seed=seed, iteration_limit=3))
+    assert isinstance(record, RunReport)
+    untimed = {**asdict(record), "wall_time": None}
+    assert untimed == {**asdict(report), "wall_time": None, "d": 3, "n": 20, "instance": 1}
 
 
 def test_bench_invalid_cell_is_usage_error(tmp_path):

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -160,6 +160,27 @@ def test_param_validation():
         HeuristicParams(colors=3, iteration_limit=0)
     with pytest.raises(ParameterError):
         HeuristicParams(colors=3, precolor_mode="fancy")
+
+
+def test_params_are_frozen(petersen, monkeypatch):
+    # a checked value stays checked: no assignment can unset what
+    # __post_init__ verified, so the pass loop can trust its limit
+    params = HeuristicParams(colors=3, seed=0, iteration_limit=3, repetition_limit=2)
+    for name, value in [("iteration_limit", 0), ("precolor_mode", "bogus"),
+                        ("repetition_limit", -5)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(params, name, value)
+    assert params == HeuristicParams(colors=3, seed=0, iteration_limit=3, repetition_limit=2)
+    greedy = []
+
+    def counted(*args):
+        greedy.append(args)
+        return greedy_precolor(*args)
+
+    monkeypatch.setattr(driver, "greedy_precolor", counted)
+    report = apply_heuristic(petersen, params)
+    assert not report.success
+    assert report.passes == len(greedy) == 3
 
 
 def test_success_recheck_holds_under_optimize(run_optimized):
