@@ -1,7 +1,14 @@
 """Edge-coloring of simple graphs by Kempe-chain conflict displacement."""
 
 from .bench import instance_seed
-from .conflicts import ConflictDictionary, conflict_level, kempe_process, kempe_start
+from .conflicts import (
+    ConflictDictionary,
+    conflict_level,
+    greedy_precolor,
+    kempe_process,
+    kempe_start,
+    random_precolor,
+)
 from .driver import HeuristicParams, ParameterError, RunReport, apply_heuristic, heuristic_pass
 from .generators import odd_graph, random_regular_graph
 from .graph import (
@@ -13,7 +20,6 @@ from .graph import (
     parse_coloring,
     parse_edge_list,
 )
-from .precolor import greedy_precolor, random_precolor
 from .verifier import brute_force_chromatic_index, check_edge_coloring
 
 __version__ = "0.1.0"

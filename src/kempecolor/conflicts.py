@@ -1,4 +1,4 @@
-"""Conflict levels, the level -> vertex-set dictionary and Kempe chains.
+"""Pre-colorings, conflict levels, the level -> vertex-set dictionary and Kempe chains.
 
 The conflict level of a vertex is its degree minus the number of distinct
 colors on its incident edges (0 means locally proper).  The dictionary
@@ -18,6 +18,11 @@ exists, or when the chain revisits a vertex (which bounds the number of
 recolorings by n and catches two-colored cycles).  Only the start vertex
 and the vertices with three or more edges of the chain's two colors can
 be revisited first, so only those are remembered.
+
+The greedy and random pre-colorings that start each pass live here too,
+so one module owns the taken-color bitmask, the free-color walk
+``_nth_free`` that greedy and ``kempe_start`` share, and every draw the
+search makes.
 
 Every random draw is the ``getrandbits`` rejection loop that CPython's
 ``Random._randbelow`` runs for ``randrange`` and ``choice``, written out
@@ -69,15 +74,67 @@ def _skip_single_draws(getrandbits, r: int) -> None:
 
 
 def _nth_free(taken: int, r: int) -> int:
-    """The r-th color, counting from 0, whose bit is clear in the bitmask ``taken``."""
-    # each taken color at or below the candidate shifts it up by one
-    while taken:
-        low = taken & -taken
-        if low.bit_length() > r + 1:
-            break
-        r += 1
-        taken ^= low
-    return r
+    """The r-th color, counting from 0, whose bit is clear in the bitmask ``taken``.
+
+    That color is the least c >= r with c = r + (taken colors at or below c):
+    below it the right side exceeds c, and it never falls as c grows, so
+    applying it from c = r climbs to it, one popcount per round.
+    """
+    c = r
+    while (n := r + (taken & ((2 << c) - 1)).bit_count()) != c:
+        c = n
+    return c
+
+
+def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
+    """Color every edge, preferring colors unused at both endpoints.
+
+    Edges are visited in ascending (min, max) order.  When every color
+    already appears at an endpoint, a uniform random color is forced.
+    With edges and fewer than one color it raises ValueError before any
+    write or draw; otherwise every edge gets a color and none is read.
+
+    Each vertex keeps its used colors as an int bitmask.  The free color
+    is drawn as ``rng.choice`` over the ascending free colors would draw
+    it (one ``randrange`` of their count), then found by ``_nth_free``'s
+    fixed point, whose rounds each count the used colors below a candidate
+    at once.  A bitmask is as wide as the largest color it holds, not as
+    the degree, so with D much larger than the maximum degree memory grows
+    as n * D bits and each mask operation costs time in proportion to D
+    (ROADMAP item 11).  Each ``randrange(k)`` is the ``getrandbits`` loop
+    that ``Random._randbelow`` runs, called directly, so the draws are the
+    same.
+    """
+    if graph.colors and num_colors < 1:
+        raise ValueError(f"cannot color edges with {num_colors} colors")
+    adj = graph.adj
+    colors = graph.colors
+    getrandbits = rng.getrandbits
+    used = [0] * graph.n
+    edges = graph.edges()
+    edges.sort()
+    for u, v in edges:
+        taken = used[u] | used[v]
+        free = num_colors - taken.bit_count()
+        c = _randbelow(getrandbits, free if free > 0 else num_colors)
+        if free > 0:
+            c = _nth_free(taken, c)
+        colors[adj[u][v]] = c
+        bit = 1 << c
+        used[u] |= bit
+        used[v] |= bit
+
+
+def random_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
+    """Assign every edge an independent uniform color, in edge-id order.
+
+    Each color is ``_randbelow``'s draw, the one ``rng.randrange(num_colors)``
+    would make.
+    """
+    if graph.colors and num_colors < 1:
+        raise ValueError(f"cannot color edges with {num_colors} colors")
+    getrandbits = rng.getrandbits
+    graph.colors[:] = [_randbelow(getrandbits, num_colors) for _ in graph.colors]
 
 
 class _SparseIndex(dict):

@@ -6,9 +6,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .conflicts import ConflictDictionary, conflict_level, kempe_start
+from .conflicts import ConflictDictionary, conflict_level, greedy_precolor, kempe_start, random_precolor
 from .graph import Graph
-from .precolor import greedy_precolor, random_precolor
 from .verifier import check_edge_coloring
 
 

@@ -29,15 +29,20 @@ def check_edge_coloring(graph: Graph, num_colors: int) -> bool:
     return True
 
 
-def brute_force_chromatic_index(graph: Graph, max_edges: int = 16) -> int:
-    """Exact chromatic index by backtracking; only for tiny graphs.
+# the backtracking search is exponential in the edge count
+_BRUTE_FORCE_MAX_EDGES = 16
+
+
+def brute_force_chromatic_index(graph: Graph) -> int:
+    """Exact chromatic index by backtracking; only for graphs of at most
+    16 edges, and GraphError for more.
 
     Tries max-degree colors first, then max-degree + 1 (one of the two
     always works for a simple graph).  Colors are assigned to edges in a
     fixed order, ascending, with the first edge pinned to color 0.
     """
-    if graph.m > max_edges:
-        raise GraphError(f"graph has {graph.m} edges, brute-force cap is {max_edges}")
+    if graph.m > _BRUTE_FORCE_MAX_EDGES:
+        raise GraphError(f"graph has {graph.m} edges, brute-force cap is {_BRUTE_FORCE_MAX_EDGES}")
     if graph.m == 0:
         return 0
     delta = graph.max_degree()

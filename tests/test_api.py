@@ -105,6 +105,23 @@ def test_no_module_reaches_into_conflict_dictionary_internals():
     assert private_reads(private, "conflicts.py") == []
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a rule that two modules share lives in one of them, behind public names
+    src = Path(kempecolor.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("kempecolor")
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
+
+
 def test_driver_calls_the_chain_loop_from_conflicts():
     # perfbench patches driver.kempe_start, so it must stay a module global
     assert driver.kempe_start is conflicts.kempe_start

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -7,6 +8,8 @@ import pytest
 from kempecolor import (
     ConflictDictionary,
     Graph,
+    HeuristicParams,
+    apply_heuristic,
     greedy_precolor,
     random_precolor,
     random_regular_graph,
@@ -123,6 +126,19 @@ def test_greedy_matches_list_based_reference_with_many_colors():
     g = random_regular_graph(20, 3, random.Random(1))
     for seed in range(5):
         assert_greedy_matches_reference(g, 10**4, seed)
+
+
+def test_star_precolors_in_bounded_time():
+    # with D = Δ the hub's taken colors fill up, so a walk that stepped
+    # once per taken color below the drawn free one would make about D²/4
+    # mask operations, each as wide as D
+    k = 10_000
+    g = Graph(k + 1, [(0, leaf) for leaf in range(1, k + 1)])
+    start = time.perf_counter()
+    report = apply_heuristic(g, HeuristicParams(colors=k, seed=0))
+    elapsed = time.perf_counter() - start
+    assert report.success and report.passes == 1
+    assert elapsed < 5.0
 
 
 def test_random_one_color_is_forced():

@@ -76,7 +76,8 @@ def test_chromatic_index_edge_cap():
     g = Graph(18, [(i, i + 1) for i in range(17)])
     with pytest.raises(GraphError, match="cap"):
         brute_force_chromatic_index(g)
-    assert brute_force_chromatic_index(g, max_edges=17) == 2
+    g = Graph(17, [(i, i + 1) for i in range(16)])
+    assert brute_force_chromatic_index(g) == 2
 
 
 def test_total_conflicts_zero_iff_proper():
