@@ -8,16 +8,46 @@ from __future__ import annotations
 from .graph import Graph, GraphError
 
 
+# the edge pass's table takes a byte per (vertex, color) slot while there are
+# at most 32 slots per vertex plus 4 per edge, as the conflict dictionary's
+# flat color index does; past that the per-vertex scan needs no table
+_TABLE_SLOTS_PER_VERTEX = 32
+_TABLE_SLOTS_PER_EDGE = 4
+
+
 def check_edge_coloring(graph: Graph, num_colors: int) -> bool:
     """True iff every vertex is properly colored: its incident colors are
     pairwise distinct and all lie in [0, num_colors).
 
-    Scans vertices in label order and stops at the first one that is not
-    properly colored; an uncolored edge at a vertex reached first raises
-    ``UncoloredEdgeError``, naming that vertex's first uncolored edge in
-    insertion order, as ``Graph.incident_colors`` does.
+    One pass over the edges in insertion order marks a byte for each
+    endpoint and the edge's color, and stops at the first uncolored edge,
+    the first color outside [0, num_colors) or the first byte already
+    marked.  A full pass means True, and a stop with every edge colored
+    means False.  The table has n * num_colors bytes, so past 32 per vertex
+    plus 4 per edge the check skips the pass.  When an edge is uncolored, or
+    the pass is skipped, the check scans vertices in label order instead
+    and stops at the first one that is not properly colored; an uncolored
+    edge at a vertex reached first raises ``UncoloredEdgeError``, naming
+    that vertex's first uncolored edge in insertion order, as
+    ``Graph.incident_colors`` does.
     """
-    colors = graph.colors
+    n, colors = graph.n, graph.colors
+    slots = n * num_colors
+    if slots <= _TABLE_SLOTS_PER_VERTEX * n + _TABLE_SLOTS_PER_EDGE * graph.m:
+        # num_colors <= 0 leaves an empty table, and every colored edge stops the pass
+        marked = bytearray(max(slots, 0))
+        for (u, v), c in zip(graph.edges(), colors):
+            if c is None or not 0 <= c < num_colors:
+                break
+            a, b = u * num_colors + c, v * num_colors + c
+            if marked[a] or marked[b]:
+                break
+            marked[a] = marked[b] = 1
+        else:
+            return True
+        if None not in colors:
+            return False
+    # an uncolored edge, or no table: scan vertices in label order
     for v, around in enumerate(graph.adj):
         incident = {colors[idx] for idx in around.values()}
         if None in incident:

@@ -394,11 +394,16 @@ PROCESS_STATUSES = [
     (["oddgraph", "3", "--seed", "0"], 1),  # Petersen is class 2
     (["color", "tri.txt", "-D", "1"], 2),
     (["color", "missing.txt"], 3),
+    (["verify", "tri.txt", "tri_colors.txt", "-D", "3"], 0),
+    (["verify", "tri.txt", "tri_colors.txt", "-D", "2"], 1),
+    (["verify", "tri.txt", "tri_colors.txt", "-D", "0"], 1),
+    (["verify", "tri.txt", "tri_colors.txt", "-D", "-1"], 1),
 ]
 
 
 def test_exit_statuses_of_the_module_as_a_process(tmp_path):
     (tmp_path / "tri.txt").write_text("3 3\n0 1\n1 2\n2 0\n")
+    (tmp_path / "tri_colors.txt").write_text("0 1 0\n1 2 1\n2 0 2\n")
     src = str(Path(kempecolor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for argv, status in PROCESS_STATUSES:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -13,7 +14,9 @@ from kempecolor import (
     apply_heuristic,
     brute_force_chromatic_index,
     check_edge_coloring,
+    greedy_precolor,
     random_precolor,
+    random_regular_graph,
 )
 
 
@@ -136,10 +139,12 @@ def test_check_matches_per_vertex_reference():
         n = rng.randrange(1, 9)
         possible = list(combinations(range(n), 2))
         g = Graph(n, rng.sample(possible, rng.randrange(0, len(possible) + 1)))
-        colors = rng.randrange(1, g.max_degree() + 3)
+        palette = rng.randrange(1, g.max_degree() + 3)
+        # sometimes D is not positive, or so large that the check builds no table
+        colors = rng.choice((0, -1, 10**6)) if rng.random() < 0.15 else palette
         stray = [None, None, -2, -1, colors, colors + 1]
         for idx in range(g.m):
-            g.colors[idx] = rng.choice(stray) if rng.random() < 0.1 else rng.randrange(colors)
+            g.colors[idx] = rng.choice(stray) if rng.random() < 0.1 else rng.randrange(palette)
         got = outcome(check_edge_coloring, g, colors)
         assert got == outcome(reference_check, g, colors)
         seen[got if isinstance(got, bool) else "raised"] += 1
@@ -156,3 +161,16 @@ def test_check_stops_at_the_first_bad_vertex():
     g.colors[:] = [0, 0, None]
     with pytest.raises(UncoloredEdgeError, match=r"edge \(0, 1\) incident to 0"):
         check_edge_coloring(g, 2)
+
+
+def test_check_needs_no_table_of_n_times_d_bytes():
+    # n * D is 10**7: a byte per (vertex, color) slot would take about 10 MB
+    g = random_regular_graph(200, 3, random.Random(4))
+    greedy_precolor(g, 50_000, random.Random(4))
+    tracemalloc.start()
+    try:
+        assert check_edge_coloring(g, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
