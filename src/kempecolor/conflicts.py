@@ -63,14 +63,18 @@ def _skip_single_draws(getrandbits, r: int) -> None:
     each of which stops at the first 32-bit word whose top bit is clear.
 
     ``getrandbits(32 * k)`` returns the next k words, first word lowest;
-    with k <= r, every one is a word the loops would take.
+    with k <= r, every one is a word the loops would take, and each word
+    whose top bit is clear ends one loop.  Below 8 owed draws the loops
+    are made one ``getrandbits(1)`` call at a time.
     """
+    while r > 1024:
+        r -= 1024 - (getrandbits(32768) & _TOPS).bit_count()
     while r >= 8:
-        k = min(r, 1024)
-        r -= k - (getrandbits(32 * k) & _TOPS).bit_count()
-    for _ in range(r):
-        while getrandbits(1):
-            pass
+        # k = r: the loops still open are those whose word's top bit is set
+        r = (getrandbits(32 * r) & _TOPS).bit_count()
+    while r:
+        if not getrandbits(1):
+            r -= 1
 
 
 def _nth_free(taken: int, r: int) -> int:
@@ -89,7 +93,8 @@ def _nth_free(taken: int, r: int) -> int:
 def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     """Color every edge, preferring colors unused at both endpoints.
 
-    Edges are visited in ascending (min, max) order.  When every color
+    Edges are visited in ascending (min, max) order, by edge id, so each
+    color is written without an adjacency lookup.  When every color
     already appears at an endpoint, a uniform random color is forced.
     With edges and fewer than one color it raises ValueError before any
     write or draw; otherwise every edge gets a color and none is read.
@@ -107,19 +112,18 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     """
     if graph.colors and num_colors < 1:
         raise ValueError(f"cannot color edges with {num_colors} colors")
-    adj = graph.adj
     colors = graph.colors
     getrandbits = rng.getrandbits
     used = [0] * graph.n
     edges = graph.edges()
-    edges.sort()
-    for u, v in edges:
+    for i in sorted(range(len(edges)), key=edges.__getitem__):
+        u, v = edges[i]
         taken = used[u] | used[v]
         free = num_colors - taken.bit_count()
         c = _randbelow(getrandbits, free if free > 0 else num_colors)
         if free > 0:
             c = _nth_free(taken, c)
-        colors[adj[u][v]] = c
+        colors[i] = c
         bit = 1 << c
         used[u] |= bit
         used[v] |= bit
@@ -188,12 +192,16 @@ class ConflictDictionary:
         self.colors = colors
         edge_colors = graph.colors
         edges = graph.edges()
-        for (u, v), c in zip(edges, edge_colors):
-            if c is None:
-                raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
-            # kempe_start's free-color rank walk assumes colors in [0, D)
-            if not (0 <= c < colors):
-                raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
+        # vetted in C; only a coloring that fails is walked to name its first bad edge
+        if edge_colors and (
+            None in edge_colors or min(edge_colors) < 0 or max(edge_colors) >= colors
+        ):
+            for (u, v), c in zip(edges, edge_colors):
+                if c is None:
+                    raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
+                # kempe_start's free-color rank walk assumes colors in [0, D)
+                if not (0 <= c < colors):
+                    raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
         self._at = at = _new_index(graph, colors)
         self._ends = [u ^ v for u, v in edges]
         self._level = [0] * graph.n
@@ -203,16 +211,16 @@ class ConflictDictionary:
         self.total = 0
         for v, around in enumerate(graph.adj):
             b = v * colors
-            distinct = 0
+            repeats = 0
             for i in around.values():
                 k = b + edge_colors[i]
                 if at[k] is None:
                     at[k] = i
-                    distinct += 1
                 else:
                     at[k] = -1
-            if distinct < len(around):
-                self._shift(v, len(around) - distinct)
+                    repeats += 1
+            if repeats:
+                self._shift(v, repeats)
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
@@ -400,6 +408,8 @@ def _chain(cd, start, node, idx, new_color, rng) -> int:
     getrandbits = rng.getrandbits
     width = cd.colors  # index slots per vertex
     branches = {start}
+    # each step that goes on makes one draw: the owed ones are counted at
+    # each flush and at the end, the ones among several edges as they are made
     steps = 1
     owed = 0  # single-candidate draws not made yet
     carry = new_color
@@ -408,46 +418,50 @@ def _chain(cd, start, node, idx, new_color, rng) -> int:
     cd._recolor(start, idx, old, carry)
     while True:
         b = node * width
-        e = at[b + carry]
+        kc = b + carry
+        ko = b + old
+        e = at[kc]
         if e is None:
             break
         if e >= 0:
             owed += 1
-            if at[b + old] >= 0 and node != start:
+            if at[ko] >= 0 and node != start:
                 # a simple interior vertex: its two chain edges trade slots
-                at[b + carry] = idx
-                at[b + old] = e
+                at[kc] = idx
+                at[ko] = e
                 colors[idx] = carry
                 if level[node] > 0:
                     cd._shift(node, 0)
                 node = ends[e] ^ node
                 carry, old = old, carry
                 idx = e
-                steps += 1
                 continue
             out = e
         else:
             _skip_single_draws(getrandbits, owed)
+            steps += owed + 1
             owed = 0
             many = [i for i in adj[node].values() if colors[i] == carry]
             out = many[_randbelow(getrandbits, len(many))]
         # what is left is the start or a branch vertex
         if node in branches:
+            # its draw is made, but it recolors nothing
+            steps -= 1
             break
         branches.add(node)
         colors[idx] = carry
         # slots after the next step gives `out` the old color
         if e >= 0:
-            at[b + carry] = idx
-        if at[b + old] >= 0:
-            at[b + old] = out
+            at[kc] = idx
+        if at[ko] >= 0:
+            at[ko] = out
             if level[node] > 0:
                 cd._shift(node, 0)
         node = ends[out] ^ node
         carry, old = old, carry
         idx = out
-        steps += 1
     _skip_single_draws(getrandbits, owed)
+    steps += owed
     # a level can only drop at a chain end: a continuation keeps the carried color
     colors[idx] = carry
     cd._recolor(node, idx, old, carry)

@@ -102,7 +102,7 @@ class Graph:
         return out
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):

@@ -9,6 +9,7 @@ from kempecolor import (
     Graph,
     GraphError,
     HeuristicParams,
+    UncoloredEdgeError,
     apply_heuristic,
     conflict_level,
     greedy_precolor,
@@ -238,6 +239,29 @@ def test_dictionary_rejects_uncolored_or_out_of_range_edge(bad):
     g.set_edge_color(1, 2, bad)
     with pytest.raises(GraphError):
         ConflictDictionary(g, 3)
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        ({1: None, 3: 5}, UncoloredEdgeError, "edge (0, 1) is uncolored"),
+        ({1: 5, 3: None}, GraphError, "edge (0, 1) has color 5 outside [0, 3)"),
+        ({2: 3, 1: 3}, GraphError, "edge (0, 1) has color 3 outside [0, 3)"),
+        ({2: None, 3: 3}, UncoloredEdgeError, "edge (1, 2) is uncolored"),
+        ({3: -1, 0: -1}, GraphError, "edge (3, 4) has color -1 outside [0, 3)"),
+        ({2: -2, 1: 4}, GraphError, "edge (0, 1) has color 4 outside [0, 3)"),
+    ],
+)
+def test_dictionary_names_the_first_bad_edge_in_id_order(faults, error, message):
+    # two faults each; the build vets all colors at once, and the first bad
+    # edge by id (not by (min, max)) decides the error and its message
+    g = Graph(5, [(4, 3), (0, 1), (1, 2), (2, 3)])
+    for i, c in enumerate([0, 1, 0, 1]):
+        g.colors[i] = faults.get(i, c)
+    with pytest.raises(GraphError) as raised:
+        ConflictDictionary(g, 3)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_check_consistency_raises_on_untracked_write():

@@ -673,6 +673,42 @@ def test_long_odd_cycle_closing_on_its_start(colors):
         assert isinstance(cd._at, list if colors == 3 else _SparseIndex)
 
 
+def chain_ends():
+    """One graph per way a chain ends, with its start edge, new color and
+    recolorings: (graph, colors, start, node, new_color, steps)."""
+    long_run, pendants = alternating_run(0, LONG + 1)
+    # s-b and b-t are 0-edges, so b is a branch; the chain goes round
+    # b-p-q-t and re-enters b by its one 1-edge, s-b
+    s, b, t, p, q = range(5)
+    twin = colored(5, [((s, b), 0), ((b, t), 0), ((b, p), 1), ((p, q), 0), ((q, t), 1)])
+    # b has two 1-edges, to x and y, each the start of a path b-x-q-t or
+    # b-y-r-t; the chain re-enters b by t-b while two 1-edges are there
+    s, b, t, x, y, q, r = range(7)
+    several = colored(7, [
+        ((s, b), 0), ((b, t), 0), ((b, x), 1), ((b, y), 1),
+        ((x, q), 0), ((q, t), 1), ((y, r), 0), ((r, t), 1),
+    ])
+    # s = 0 has two 0-edges; the chain goes round and re-enters it
+    triangle = colored(3, [((0, 1), 0), ((1, 2), 1), ((2, 0), 0)])
+    return {
+        "no continuation": (path_graph([0, 1, 0]), 2, 0, 1, 1, 3),
+        "revisit by a single-candidate edge": (twin, 2, 0, 1, 1, 5),
+        "revisit after a draw among several": (several, 3, 0, 1, 1, 5),
+        "back at start": (triangle, 2, 0, 1, 1, 3),
+        "a run longer than LONG": (with_pendants(LONG + 2, long_run, pendants), 3, 0, 1, 1, LONG + 1),
+    }
+
+
+@pytest.mark.parametrize("end", list(chain_ends()))
+def test_recolorings_returned_match_reference_at_each_chain_end(end):
+    # kempe_process counts its recolorings without a counter per step; the
+    # count must still be the reference's, however the chain ends
+    g, colors, start, node, new_color, want = chain_ends()[end]
+    for seed in range(4):
+        steps, _ = run_against_reference(copy_colored(g), colors, start, node, new_color, seed)
+        assert steps == want
+
+
 def reference_pass(graph, colors, repetition_limit, rng):
     """heuristic_pass with reference_start's chains, which recolor through
     ``color_edge``, and its counter rule written out step by step."""
