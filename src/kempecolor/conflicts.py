@@ -4,11 +4,13 @@ The conflict level of a vertex is its degree minus the number of distinct
 colors on its incident edges (0 means locally proper).  The dictionary
 buckets every vertex with level >= 1 by its level and keeps the total
 conflictivity (sum of all levels) cached, so the search loop gets O(1)
-reads.  It also indexes each vertex's edges by color, one slot per (vertex,
-color) pair in a flat list, so a chain step finds the edge of a given
-color at a vertex with one list read; it scans the vertex's edges only
+reads.  It also indexes each vertex's edges by color in one flat list of
+per-vertex records: a vertex's level, then one slot per color, so a chain
+step finds the edge of a given color at a vertex with one list read, and
+the level on the same stretch of memory; it scans the vertex's edges only
 where that color repeats.  When that list would outgrow a dict per
-vertex, the same slots live in a dict that holds only the filled ones.
+vertex, the same records live in a dict that holds only the levels and
+the filled slots.
 
 A Kempe chain starts at a conflicting vertex, walks along edges whose
 colors alternate between the carried old color and the chosen new color,
@@ -17,7 +19,9 @@ conflict level of the vertex just reached, when no continuation edge
 exists, or when the chain revisits a vertex (which bounds the number of
 recolorings by n and catches two-colored cycles).  Only the start vertex
 and the vertices with three or more edges of the chain's two colors can
-be revisited first, so only those are remembered.
+be revisited first, so only those are remembered.  The chain walks record
+bases, not vertices, and makes two simple steps per loop turn, one for
+each of the two colors it carries in turn.
 
 The greedy and random pre-colorings that start each pass live here too,
 so one module owns the taken-color bitmask, the free-color walk
@@ -142,7 +146,8 @@ def random_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
 
 
 class _SparseIndex(dict):
-    """The color index as a dict of its filled slots; an empty slot reads None."""
+    """The color index as a dict of every level and the filled slots; an
+    empty slot reads None."""
 
     __slots__ = ()
 
@@ -151,16 +156,16 @@ class _SparseIndex(dict):
 
 
 def _new_index(graph: Graph, colors: int) -> list | _SparseIndex:
-    """An empty color index: a flat list while it has at most 32 slots per
-    vertex plus 4 per edge, about what a dict per vertex would take."""
-    slots = graph.n * colors
-    if slots <= 32 * graph.n + 4 * graph.m:
-        return [None] * slots
-    return _SparseIndex()
+    """An index of n records of ``colors + 1`` slots, every level 0 and
+    every color slot empty: a flat list while it has at most 32 color slots
+    per vertex plus 4 per edge, about what a dict per vertex would take."""
+    if graph.n * colors <= 32 * graph.n + 4 * graph.m:
+        return ([0] + [None] * colors) * graph.n
+    return _SparseIndex.fromkeys(range(0, graph.n * (colors + 1), colors + 1), 0)
 
 
 def _clear(at: list | _SparseIndex, slot: int) -> None:
-    """Empty one slot of the color index."""
+    """Empty one color slot of the index."""
     if at.__class__ is list:
         at[slot] = None
     else:
@@ -170,15 +175,18 @@ def _clear(at: list | _SparseIndex, slot: int) -> None:
 class ConflictDictionary:
     """Levels, buckets and a color index for a totally colored graph.
 
-    Slot ``v * colors + c`` of the color index ``_at`` holds the id of
-    v's edge of color c when exactly one edge of v has it, -1 when two or
-    more do, and None when none does, so v's level is its degree minus its
-    filled slots.  The index is a flat list while it has at most 32 slots
-    per vertex plus 4 per edge, about the size of a small dict per vertex
-    (on a regular graph, any D up to 2Δ + 32), and otherwise a dict of the
-    filled slots, so memory stays O(n + m) whatever the number of colors.
-    ``_ends[e]`` is the XOR of edge e's endpoints: one endpoint gives the
-    other.
+    The index ``_at`` holds one record of D + 1 slots per vertex, D =
+    ``colors``, at the record base ``v * (D + 1)``.  The base slot holds
+    v's level.  Slot ``base + 1 + c`` holds the id of v's edge of color c
+    when exactly one edge of v has it, -1 when two or more do, and None
+    when none does, so v's level is its degree minus its filled slots.  The
+    index is a flat list while it has at most 32 color slots per vertex
+    plus 4 per edge, about the size of a small dict per vertex (on a
+    regular graph, any D up to 2Δ + 32), and otherwise a dict of every
+    level and the filled slots, so memory stays O(n + m) whatever the
+    number of colors.  ``_ends[e]`` is the sum of edge e's endpoints'
+    record bases, so ``_ends[e] - b`` is the base of the endpoint that is
+    not at base b.
 
     ``_buckets`` is a list indexed by level whose slot 0 stays empty:
     ``_buckets[lvl]`` lists the vertices at level lvl >= 1, and ``_pos[v]``
@@ -190,6 +198,7 @@ class ConflictDictionary:
     def __init__(self, graph: Graph, colors: int):
         self.graph = graph
         self.colors = colors
+        self._width = width = colors + 1  # slots per record
         edge_colors = graph.colors
         edges = graph.edges()
         # vetted in C; only a coloring that fails is walked to name its first bad edge
@@ -203,24 +212,25 @@ class ConflictDictionary:
                 if not (0 <= c < colors):
                     raise GraphError(f"edge ({u}, {v}) has color {c} outside [0, {colors})")
         self._at = at = _new_index(graph, colors)
-        self._ends = [u ^ v for u, v in edges]
-        self._level = [0] * graph.n
+        # a sum, not an XOR: CPython specializes int subtraction, so the
+        # chain's step to the far end is cheaper, and the build multiplies once
+        self._ends = [(u + v) * width for u, v in edges]
         # a level never exceeds degree - 1, so every bucket exists up front
         self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
         self._pos = [0] * graph.n
         self.total = 0
-        for v, around in enumerate(graph.adj):
-            b = v * colors
+        for b, around in zip(range(0, graph.n * width, width), graph.adj):
+            first = b + 1  # the slot of color 0
             repeats = 0
             for i in around.values():
-                k = b + edge_colors[i]
+                k = first + edge_colors[i]
                 if at[k] is None:
                     at[k] = i
                 else:
                     at[k] = -1
                     repeats += 1
             if repeats:
-                self._shift(v, repeats)
+                self._shift(b, repeats)
 
     def max_level(self) -> int:
         """Largest level with a nonempty bucket; error if none."""
@@ -253,40 +263,46 @@ class ConflictDictionary:
         if old == color:
             return 0
         colors[idx] = color
-        self._recolor(u, idx, old, color)
-        return self._recolor(v, idx, old, color)
+        width = self._width
+        self._recolor(u * width, idx, old, color)
+        return self._recolor(v * width, idx, old, color)
 
-    def _recolor(self, x: int, idx: int, old: int, new: int) -> int:
-        """Update x's color index for edge ``idx`` going from ``old`` to
-        ``new``, apply x's level change through ``_shift`` and return it.
+    def _recolor(self, b: int, idx: int, old: int, new: int) -> int:
+        """Update the record at base b for edge ``idx`` going from ``old``
+        to ``new``, apply its vertex's level change through ``_shift`` and
+        return it.
 
-        x's edges are scanned only when another edge keeps ``old`` (a twin),
-        to find whether exactly one does.
+        The vertex's edges are scanned only when another edge keeps ``old``
+        (a twin), to find whether exactly one does.
         """
-        at, b = self._at, x * self.colors
-        delta = 0 if at[b + new] is None else 1
-        at[b + new] = -1 if delta else idx
-        if at[b + old] >= 0:
-            _clear(at, b + old)
+        at = self._at
+        kn, ko = b + 1 + new, b + 1 + old
+        delta = 0 if at[kn] is None else 1
+        at[kn] = -1 if delta else idx
+        if at[ko] >= 0:
+            _clear(at, ko)
         else:
             colors = self.graph.colors
-            rest = [i for i in self.graph.adj[x].values() if i != idx and colors[i] == old]
-            at[b + old] = rest[0] if len(rest) == 1 else -1
+            around = self.graph.adj[b // self._width]
+            rest = [i for i in around.values() if i != idx and colors[i] == old]
+            at[ko] = rest[0] if len(rest) == 1 else -1
             delta -= 1
         if delta:
-            self._shift(x, delta)
+            self._shift(b, delta)
         return delta
 
-    def _shift(self, v: int, delta: int) -> None:
-        """Add delta to v's level and move v to the end of its new bucket.
+    def _shift(self, b: int, delta: int) -> None:
+        """Add delta to the level of the vertex whose record base is b and
+        move that vertex to the end of its new bucket.
 
         This is the only writer of levels, buckets, bucket positions and the
-        total; ``__init__`` joins each conflicting vertex through it.  v
-        leaves its bucket by taking the last member into its slot, so with
-        delta 0 it only swaps places with that last member.
+        total; ``__init__`` joins each conflicting vertex through it.  The
+        vertex leaves its bucket by taking the last member into its slot, so
+        with delta 0 it only swaps places with that last member.
         """
-        level, buckets, pos = self._level, self._buckets, self._pos
-        lvl = level[v]
+        at, buckets, pos = self._at, self._buckets, self._pos
+        v = b // self._width
+        lvl = at[b]
         if lvl > 0:
             members = buckets[lvl]
             last = members[-1]
@@ -301,7 +317,7 @@ class ConflictDictionary:
                 pos[last] = i
         if delta:
             lvl += delta
-            level[v] = lvl
+            at[b] = lvl
             self.total += delta
             if lvl > 0:
                 members = buckets[lvl]
@@ -315,20 +331,22 @@ class ConflictDictionary:
         color index with one rebuilt edge by edge, so this shares no code
         with the incremental updates it checks.
         """
-        graph, colors = self.graph, self.colors
+        graph, colors, width = self.graph, self.colors, self._width
         at = _new_index(graph, colors)
         edges = graph.edges()
         for i, ((u, v), c) in enumerate(zip(edges, graph.colors)):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
             for x in (u, v):
-                k = x * colors + c
+                k = x * width + 1 + c
                 at[k] = i if at[k] is None else -1
-        if self._at != at or self._ends != [u ^ v for u, v in edges]:
-            raise RuntimeError("stale color index")
         levels = [conflict_level(graph, v) for v in range(graph.n)]
-        if self._level != levels:
+        if [self._at[v * width] for v in range(graph.n)] != levels:
             raise RuntimeError("stale conflict levels")
+        for v, lvl in enumerate(levels):
+            at[v * width] = lvl
+        if self._at != at or self._ends != [u * width + v * width for u, v in edges]:
+            raise RuntimeError("stale color index")
         if self.total != sum(levels):
             raise RuntimeError("stale total")
         for lvl, members in enumerate(self._buckets):
@@ -390,7 +408,8 @@ def kempe_process(
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
     if not (0 <= new_color < cd.colors):
         raise GraphError(f"color {new_color} outside [0, {cd.colors})")
-    return _chain(cd, start, node, idx, new_color, rng)
+    width = cd._width
+    return _chain(cd, start * width, node * width, idx, new_color, rng)
 
 
 def _check_tracked(graph, cd: ConflictDictionary) -> None:
@@ -399,72 +418,94 @@ def _check_tracked(graph, cd: ConflictDictionary) -> None:
         raise GraphError("the graph is not the one the conflict dictionary tracks")
 
 
-def _chain(cd, start, node, idx, new_color, rng) -> int:
-    """``kempe_process`` on ``cd``'s graph for edge id ``idx`` = {start, node},
-    whose color is not ``new_color``, a color its caller keeps in [0, D)."""
+def _chain(cd, s, b, idx, new_color, rng) -> int:
+    """``kempe_process`` on ``cd``'s graph for edge id ``idx`` between the
+    vertices whose record bases are s (the start) and b, with ``idx`` not
+    colored ``new_color``, a color its caller keeps in [0, D).
+
+    Each loop turn tries two simple steps: the first carries the color the
+    turn starts with and the second the other one, so neither step swaps
+    them.  Any other step goes to the general path below, which swaps them.
+    """
     adj = cd.graph.adj
     colors = cd.graph.colors
-    level, at, ends = cd._level, cd._at, cd._ends
+    at, ends, width = cd._at, cd._ends, cd._width
     getrandbits = rng.getrandbits
-    width = cd.colors  # index slots per vertex
-    branches = {start}
+    branches = {s}
     # each step that goes on makes one draw: the owed ones are counted at
     # each flush and at the end, the ones among several edges as they are made
     steps = 1
     owed = 0  # single-candidate draws not made yet
     carry = new_color
     old = colors[idx]
+    # record offsets of the two chain colors' slots
+    kc = carry + 1
+    ko = old + 1
     # start is settled now, before the chain can come back to it
-    cd._recolor(start, idx, old, carry)
+    cd._recolor(s, idx, old, carry)
     while True:
-        b = node * width
-        kc = b + carry
-        ko = b + old
-        e = at[kc]
+        # b's slots for the carried and the old color
+        sc = b + kc
+        so = b + ko
+        e = at[sc]
+        # a simple interior vertex: one edge of each color, so they trade slots
+        if e is not None and e >= 0 and at[so] >= 0 and b != s:
+            at[sc] = idx
+            at[so] = e
+            colors[idx] = carry
+            if at[b]:
+                cd._shift(b, 0)
+            b = ends[e] - b
+            idx = e
+            # the second step carries the old color
+            sc = b + ko
+            so = b + kc
+            e = at[sc]
+            if e is not None and e >= 0 and at[so] >= 0 and b != s:
+                at[sc] = idx
+                at[so] = e
+                colors[idx] = old
+                if at[b]:
+                    cd._shift(b, 0)
+                b = ends[e] - b
+                idx = e
+                owed += 2
+                continue
+            owed += 1
+            carry, old, kc, ko = old, carry, ko, kc
+        # e is at[sc], and b is the start, a branch vertex or the chain's end
         if e is None:
             break
         if e >= 0:
             owed += 1
-            if at[ko] >= 0 and node != start:
-                # a simple interior vertex: its two chain edges trade slots
-                at[kc] = idx
-                at[ko] = e
-                colors[idx] = carry
-                if level[node] > 0:
-                    cd._shift(node, 0)
-                node = ends[e] ^ node
-                carry, old = old, carry
-                idx = e
-                continue
             out = e
         else:
             _skip_single_draws(getrandbits, owed)
             steps += owed + 1
             owed = 0
-            many = [i for i in adj[node].values() if colors[i] == carry]
+            many = [i for i in adj[b // width].values() if colors[i] == carry]
             out = many[_randbelow(getrandbits, len(many))]
-        # what is left is the start or a branch vertex
-        if node in branches:
+        if b in branches:
             # its draw is made, but it recolors nothing
             steps -= 1
             break
-        branches.add(node)
+        branches.add(b)
         colors[idx] = carry
         # slots after the next step gives `out` the old color
         if e >= 0:
-            at[kc] = idx
-        if at[ko] >= 0:
-            at[ko] = out
-            if level[node] > 0:
-                cd._shift(node, 0)
-        node = ends[out] ^ node
-        carry, old = old, carry
+            at[sc] = idx
+        if at[so] >= 0:
+            at[so] = out
+            if at[b]:
+                cd._shift(b, 0)
+        b = ends[out] - b
         idx = out
+        carry, old, kc, ko = old, carry, ko, kc
     _skip_single_draws(getrandbits, owed)
     steps += owed
     # a level can only drop at a chain end: a continuation keeps the carried color
     colors[idx] = carry
-    cd._recolor(node, idx, old, carry)
+    cd._recolor(b, idx, old, carry)
     return steps
 
 
@@ -505,4 +546,5 @@ def kempe_start(
     getrandbits = rng.getrandbits
     idx = repeated[_randbelow(getrandbits, len(repeated))]
     new_color = _nth_free(seen, _randbelow(getrandbits, free))
-    return _chain(cd, v, cd._ends[idx] ^ v, idx, new_color, rng)
+    s = v * cd._width
+    return _chain(cd, s, cd._ends[idx] - s, idx, new_color, rng)

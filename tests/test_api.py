@@ -66,9 +66,11 @@ def graph_private_names():
 
 
 def conflict_private_names():
+    """ConflictDictionary's own private attributes, plus the level list its
+    color index's records replaced."""
     g = Graph(2, [(0, 1)])
     g.colors[0] = 0
-    return private_names(ConflictDictionary(g, 1))
+    return private_names(ConflictDictionary(g, 1)) | {"_level"}
 
 
 def private_reads(private: set[str], owner: str) -> list[str]:
@@ -99,9 +101,9 @@ def test_no_module_reaches_into_graph_internals():
 
 def test_no_module_reaches_into_conflict_dictionary_internals():
     # the levels, buckets and color index are read and written in
-    # conflicts.py only
+    # conflicts.py only; each level is the first slot of its vertex's record
     private = conflict_private_names()
-    assert {"_level", "_buckets", "_at", "_ends"} <= private
+    assert {"_level", "_width", "_buckets", "_pos", "_at", "_ends", "_shift"} <= private
     assert private_reads(private, "conflicts.py") == []
 
 

@@ -276,7 +276,9 @@ def test_check_consistency_raises_on_untracked_write():
 def test_check_consistency_raises_on_stale_level():
     g = star([0, 0, 1])
     cd = ConflictDictionary(g, 3)
-    cd._level[0] = 0
+    # the center's level is the first slot of its record
+    assert cd._at[0] == 1
+    cd._at[0] = 0
     with pytest.raises(RuntimeError, match="level"):
         cd.check_consistency()
 
@@ -303,28 +305,31 @@ def test_check_consistency_raises_on_stale_bucket_position():
 
 
 def test_check_consistency_raises_on_stale_color_index():
-    # vertex 0 has two 0-edges, so its slot for color 0 must read -1
+    # vertex 0 has two 0-edges, so its slot for color 0 must read -1; its
+    # record is its level, 1, then its slots for colors 0, 1 and 2
     g = star([0, 0, 1])
     cd = ConflictDictionary(g, 3)
-    assert cd._at[0:3] == [-1, 2, None]
-    cd._at[0] = 1
+    assert cd._at[0:4] == [1, -1, 2, None]
+    cd._at[1] = 1
     with pytest.raises(RuntimeError, match="color index"):
         cd.check_consistency()
 
 
 def test_color_index_is_flat_until_colors_outgrow_the_edges():
-    # n * D slots: 3 per vertex at D = 3 on a cubic graph, 75 per vertex
-    # at D = 75, past 32 per vertex plus 4 per edge, where only the filled
-    # slots are kept; both read the same
+    # n records of D + 1 slots, a level and then D color slots: 3 color
+    # slots per vertex at D = 3 on a cubic graph, 75 per vertex at D = 75,
+    # past 32 per vertex plus 4 per edge, where every level and only the
+    # filled color slots are kept; both read the same
     g = random_regular_graph(20, 3, random.Random(4))
     random_precolor(g, 3, random.Random(5))
     flat, sparse = ConflictDictionary(g, 3), ConflictDictionary(g, 75)
-    assert len(flat._at) == 20 * 3
-    assert len(sparse._at) == 20 * 3 - flat._at.count(None)
+    assert len(flat._at) == 20 * 4
+    assert len(sparse._at) == 20 + 20 * 3 - flat._at.count(None)
     for v in range(20):
+        assert flat._at[v * 4] == sparse._at[v * 76] == conflict_level(g, v)
         for c in range(3):
-            assert sparse._at[v * 75 + c] == flat._at[v * 3 + c]
-        assert sparse._at[v * 75 + 3] is None
+            assert sparse._at[v * 76 + 1 + c] == flat._at[v * 4 + 1 + c]
+        assert sparse._at[v * 76 + 4] is None
     # both compare their levels with conflict_level's recount
     flat.check_consistency()
     sparse.check_consistency()

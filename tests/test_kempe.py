@@ -674,8 +674,17 @@ def test_long_odd_cycle_closing_on_its_start(colors):
 
 
 def chain_ends():
-    """One graph per way a chain ends, with its start edge, new color and
-    recolorings: (graph, colors, start, node, new_color, steps)."""
+    """One graph per way a chain ends or leaves a turn of its two-step loop,
+    with its start edge, new color and recolorings:
+    (graph, colors, start, node, new_color, steps).
+
+    The loop takes two simple steps per turn, the first in the color the
+    turn starts with and the second in the other.  The chains from (0, 1)
+    along a path 0-1-2-... colored 0, 1, 0, ... with new color 1 reach
+    vertex p by their p-th step, in the first half of a turn when p is odd
+    and in the second when p is even, as long as every step before it was
+    simple.  Pendant edges have color 2.
+    """
     long_run, pendants = alternating_run(0, LONG + 1)
     # s-b and b-t are 0-edges, so b is a branch; the chain goes round
     # b-p-q-t and re-enters b by its one 1-edge, s-b
@@ -688,14 +697,35 @@ def chain_ends():
         ((s, b), 0), ((b, t), 0), ((b, x), 1), ((b, y), 1),
         ((x, q), 0), ((q, t), 1), ((y, r), 0), ((r, t), 1),
     ])
-    # s = 0 has two 0-edges; the chain goes round and re-enters it
-    triangle = colored(3, [((0, 1), 0), ((1, 2), 1), ((2, 0), 0)])
+    # s = 0 has two 0-edges; the chain goes round and re-enters it at its
+    # third step, where 0 has one edge of each chain color, as a simple
+    # vertex would; a twin at vertex 1 makes the first step a general one,
+    # which moves that revisit into the second half of a turn
+    triangle = [((0, 1), 0), ((1, 2), 1), ((2, 0), 0)]
+
+    def path(length, extra=()):
+        edges = [((i, i + 1), i % 2) for i in range(length)] + list(extra)
+        return colored(1 + max(max(e) for e, _ in edges), edges)
+
+    # vertex 9 sits at level 1 throughout, so a bucket move shows in order
+    aside = [((9, 10), 2), ((9, 11), 2)]
     return {
         "no continuation": (path_graph([0, 1, 0]), 2, 0, 1, 1, 3),
         "revisit by a single-candidate edge": (twin, 2, 0, 1, 1, 5),
         "revisit after a draw among several": (several, 3, 0, 1, 1, 5),
-        "back at start": (triangle, 2, 0, 1, 1, 3),
+        "back at start": (colored(3, triangle), 2, 0, 1, 1, 3),
         "a run longer than LONG": (with_pendants(LONG + 2, long_run, pendants), 3, 0, 1, 1, LONG + 1),
+        # the first half's ways out are the cases above; these leave by the
+        # second half, or take the first half's other ways out
+        "no continuation, second half": (path_graph([0, 1, 0, 1]), 3, 0, 1, 1, 4),
+        "several carried, first half": (path(3, [((3, 4), 1), ((3, 5), 1)]), 3, 0, 1, 1, 4),
+        "several carried, second half": (path(4, [((4, 5), 0), ((4, 6), 0)]), 3, 0, 1, 1, 5),
+        "twin, first half": (path(3, [((3, 4), 1), ((3, 5), 0)]), 3, 0, 1, 1, 4),
+        "twin, second half": (path(4, [((4, 5), 0), ((4, 6), 1)]), 3, 0, 1, 1, 5),
+        "back at start, second half": (colored(4, triangle + [((1, 3), 0)]), 3, 0, 1, 1, 3),
+        # an interior vertex at level 1 moves to the end of its bucket
+        "level 1 interior, first half": (path(4, [((1, 5), 2), ((1, 6), 2)] + aside), 3, 0, 1, 1, 4),
+        "level 1 interior, second half": (path(4, [((2, 5), 2), ((2, 6), 2)] + aside), 3, 0, 1, 1, 4),
     }
 
 
@@ -705,8 +735,19 @@ def test_recolorings_returned_match_reference_at_each_chain_end(end):
     # count must still be the reference's, however the chain ends
     g, colors, start, node, new_color, want = chain_ends()[end]
     for seed in range(4):
-        steps, _ = run_against_reference(copy_colored(g), colors, start, node, new_color, seed)
+        steps, cd = run_against_reference(copy_colored(g), colors, start, node, new_color, seed)
         assert steps == want
+        assert isinstance(cd._at, list)
+
+
+@pytest.mark.parametrize("end", list(chain_ends()))
+def test_each_chain_end_matches_reference_on_the_dict_index(end):
+    # the same chains, with 10^4 colors putting the color index in its dict form
+    g, _, start, node, new_color, want = chain_ends()[end]
+    for seed in range(4):
+        steps, cd = run_against_reference(copy_colored(g), 10**4, start, node, new_color, seed)
+        assert steps == want
+        assert isinstance(cd._at, _SparseIndex)
 
 
 def reference_pass(graph, colors, repetition_limit, rng):
