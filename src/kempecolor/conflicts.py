@@ -23,6 +23,17 @@ be revisited first, so only those are remembered.  The chain walks record
 bases, not vertices, and makes two simple steps per loop turn, one for
 each of the two colors it carries in turn.
 
+A pass is dead when every conflicting vertex has level 1 and degree D,
+so its doubled color a and its free color c are forced, when its {a, c}
+component is a cycle back to it on which every other vertex has one edge
+of each color, and when any two such pairs are equal or share no color.
+Every chain then goes once round its start's cycle and swaps a and c on
+it, and the state stays dead.  ``ConflictDictionary.detect_dead`` finds
+that state and caches one record per conflicting vertex, and
+``kempe_start`` then replays the chain from the record: the same color
+writes, index slots, bucket moves, draws and returned count as the walk,
+without walking.  Any other write drops the records.
+
 The greedy and random pre-colorings that start each pass live here too,
 so one module owns the taken-color bitmask, the free-color walk
 ``_nth_free`` that greedy and ``kempe_start`` share, and every draw the
@@ -94,6 +105,20 @@ def _nth_free(taken: int, r: int) -> int:
     return c
 
 
+def _repeats(around: dict[int, int], colors: list) -> tuple[int, list[int]]:
+    """The bitmask of the colors on a vertex's edges ``around``, and, in
+    insertion order, the edges whose color an earlier edge there has."""
+    seen = 0
+    repeated = []
+    for idx in around.values():
+        bit = 1 << colors[idx]
+        if seen & bit:
+            repeated.append(idx)
+        else:
+            seen |= bit
+    return seen, repeated
+
+
 def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     """Color every edge, preferring colors unused at both endpoints.
 
@@ -119,7 +144,7 @@ def greedy_precolor(graph: Graph, num_colors: int, rng: random.Random) -> None:
     colors = graph.colors
     getrandbits = rng.getrandbits
     used = [0] * graph.n
-    edges = graph.edges()
+    edges = graph.endpoints
     for i in sorted(range(len(edges)), key=edges.__getitem__):
         u, v = edges[i]
         taken = used[u] | used[v]
@@ -193,6 +218,9 @@ class ConflictDictionary:
     is v's place in its list.  A vertex leaves its list by taking the last
     member into its slot and joins at the end, so sampling a bucket is one
     list read.
+
+    ``_dead`` is None, or while the pass is dead, the replay record of
+    each conflicting vertex (see ``detect_dead``).
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -200,7 +228,7 @@ class ConflictDictionary:
         self.colors = colors
         self._width = width = colors + 1  # slots per record
         edge_colors = graph.colors
-        edges = graph.edges()
+        edges = graph.endpoints
         # vetted in C; only a coloring that fails is walked to name its first bad edge
         if edge_colors and (
             None in edge_colors or min(edge_colors) < 0 or max(edge_colors) >= colors
@@ -219,6 +247,7 @@ class ConflictDictionary:
         self._buckets: list[list[int]] = [[] for _ in range(graph.max_degree())]
         self._pos = [0] * graph.n
         self.total = 0
+        self._dead: dict[int, list] | None = None
         for b, around in zip(range(0, graph.n * width, width), graph.adj):
             first = b + 1  # the slot of color 0
             repeats = 0
@@ -262,10 +291,74 @@ class ConflictDictionary:
         old = colors[idx]
         if old == color:
             return 0
+        self._dead = None
         colors[idx] = color
         width = self._width
         self._recolor(u * width, idx, old, color)
         return self._recolor(v * width, idx, old, color)
+
+    def detect_dead(self) -> bool:
+        """True when the pass is dead, and then each conflicting vertex's
+        chain is replayed from a cached record until another write.
+
+        Dead means: every conflicting vertex v has level 1 and degree D,
+        so it has one doubled color a and one free color c; v's {a, c}
+        component is a cycle back to v on which every other vertex has one
+        edge of each color; and any two such pairs are equal or share no
+        color.  A chain from v must then start on v's later a-edge in
+        insertion order with the new color c, go once round the cycle and
+        close on v, swapping a and c on it; v leaves bucket 1 and rejoins
+        it at the end, and each conflicting vertex on the cycle moves to
+        the end of its bucket in passing.  That swap keeps every condition
+        for every vertex, with a and c trading places at v.
+
+        The record holds v's two slots, the cycle's edge ids in walk order
+        split by their place (odd places have color a), the slot pair of
+        each other cycle vertex and the record bases of the conflicting
+        ones.  The check reads v's edges and walks each cycle once, so it
+        costs about one chain per conflicting vertex.
+        """
+        if self._dead is not None:
+            return True
+        if not self.total:
+            return False
+        ones = self._buckets[1]
+        # all levels 1: the total counts each conflicting vertex once
+        if self.total != len(ones):
+            return False
+        adj, colors = self.graph.adj, self.graph.colors
+        at, ends, width = self._at, self._ends, self._width
+        owner: dict[int, tuple[int, int]] = {}
+        dead = {}
+        for v in ones:
+            around = adj[v]
+            if len(around) != self.colors:
+                return False
+            seen, (start,) = _repeats(around, colors)
+            a = colors[start]
+            c = _nth_free(seen, 0)
+            pair = (a, c) if a < c else (c, a)
+            if owner.setdefault(a, pair) != pair or owner.setdefault(c, pair) != pair:
+                return False
+            s = v * width
+            # walk v's {a, c} component from its later a-edge, carrying c
+            walk, slots, inner = [start], [], []
+            kc, ko = c + 1, a + 1
+            b = ends[start] - s
+            while b != s:
+                sc, so = b + kc, b + ko
+                e = at[sc]
+                if e is None or e < 0 or at[so] < 0:
+                    return False
+                slots.append((sc, so))
+                if at[b]:
+                    inner.append(b)
+                walk.append(e)
+                b = ends[e] - b
+                kc, ko = ko, kc
+            dead[v] = [s + 1 + a, s + 1 + c, walk[::2], walk[1::2], slots, inner]
+        self._dead = dead
+        return True
 
     def _recolor(self, b: int, idx: int, old: int, new: int) -> int:
         """Update the record at base b for edge ``idx`` going from ``old``
@@ -333,7 +426,7 @@ class ConflictDictionary:
         """
         graph, colors, width = self.graph, self.colors, self._width
         at = _new_index(graph, colors)
-        edges = graph.edges()
+        edges = graph.endpoints
         for i, ((u, v), c) in enumerate(zip(edges, graph.colors)):
             if c is None or not (0 <= c < colors):
                 raise RuntimeError(f"edge ({u}, {v}) has untracked color {c!r}")
@@ -427,6 +520,7 @@ def _chain(cd, s, b, idx, new_color, rng) -> int:
     turn starts with and the second the other one, so neither step swaps
     them.  Any other step goes to the general path below, which swaps them.
     """
+    cd._dead = None
     adj = cd.graph.adj
     colors = cd.graph.colors
     at, ends, width = cd._at, cd._ends, cd._width
@@ -509,6 +603,37 @@ def _chain(cd, s, b, idx, new_color, rng) -> int:
     return steps
 
 
+def _replay(cd, s, record, getrandbits) -> int:
+    """The chain from the vertex at record base s in a dead pass, from its
+    ``detect_dead`` record: the walk's draws, color writes, index slots
+    and bucket moves, in the walk's bucket order, and its recoloring count.
+
+    The draws are ``kempe_start``'s two over one item and one per cycle
+    edge.  Each other cycle vertex trades its two slots, and the start's
+    doubled slot empties while its free one marks two edges, as
+    ``_recolor`` leaves them.
+    """
+    ka, kc, odd, even, slots, inner = record
+    record[0], record[1] = kc, ka
+    steps = len(odd) + len(even)
+    _skip_single_draws(getrandbits, steps + 2)
+    colors, at = cd.graph.colors, cd._at
+    a, c = ka - s - 1, kc - s - 1
+    for e in odd:
+        colors[e] = c
+    for e in even:
+        colors[e] = a
+    for i, j in slots:
+        at[i], at[j] = at[j], at[i]
+    at[kc] = -1
+    _clear(at, ka)
+    cd._shift(s, -1)
+    for b in inner:
+        cd._shift(b, 0)
+    cd._shift(s, 1)
+    return steps
+
+
 def kempe_start(
     graph, cd: ConflictDictionary, num_colors: int, v: int, rng: random.Random
 ) -> int:
@@ -521,21 +646,18 @@ def kempe_start(
     would make, and found by ``_nth_free``.
     ``graph`` and ``num_colors`` must be the graph and the color count
     ``cd`` tracks; any other raises GraphError before a write or a draw.
-    Returns the number of recolorings performed.
+    Returns the number of recolorings performed.  While ``cd`` holds a
+    dead pass's records, v's chain is replayed from its record instead,
+    with the same draws, writes and result.
     """
     _check_tracked(graph, cd)
     if num_colors != cd.colors:
         raise GraphError(f"{num_colors} colors given, but the dictionary tracks {cd.colors}")
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
-    colors = graph.colors
-    seen = 0
-    repeated: list[int] = []
-    for idx in graph.adj[v].values():
-        bit = 1 << colors[idx]
-        if seen & bit:
-            repeated.append(idx)
-        else:
-            seen |= bit
+    s = v * cd._width
+    if cd._dead is not None and v in cd._dead:
+        return _replay(cd, s, cd._dead[v], rng.getrandbits)
+    seen, repeated = _repeats(graph.adj[v], graph.colors)
     if not repeated:
         return 0
     free = num_colors - seen.bit_count()
@@ -546,5 +668,4 @@ def kempe_start(
     getrandbits = rng.getrandbits
     idx = repeated[_randbelow(getrandbits, len(repeated))]
     new_color = _nth_free(seen, _randbelow(getrandbits, free))
-    s = v * cd._width
     return _chain(cd, s, cd._ends[idx] - s, idx, new_color, rng)

@@ -60,6 +60,10 @@ def heuristic_pass(
     counter of consecutive chains that do not lower the conflictivity
     below the best seen this pass ends the pass in failure once it exceeds
     the repetition limit; a new best resets it.
+
+    At counts 2, 4, 8, ... the dictionary checks whether the pass is dead,
+    so that its chains are replayed rather than walked; that changes no
+    result, and costs at most about log2 of the limit checks per stall.
     """
     cd = ConflictDictionary(graph, colors)
     best, counter = cd.total, 0
@@ -71,6 +75,8 @@ def heuristic_pass(
             counter += 1
             if counter > repetition_limit:
                 return False
+            if counter > 1 and not counter & (counter - 1):
+                cd.detect_dead()
     return True
 
 

@@ -22,15 +22,19 @@ class UncoloredEdgeError(GraphError):
 class Graph:
     """A simple graph on vertices 0..n-1 with one color slot per edge.
 
-    Edge ids are 0..m-1 in insertion order.  Two public lists form a flat
-    view that the search reads and writes directly, skipping validation:
+    Edge ids are 0..m-1 in insertion order.  Three public lists form a
+    flat view that the search reads and writes directly, skipping
+    validation:
 
     - ``adj[v]`` maps each neighbour of v to the id of their edge, in
       insertion order;
+    - ``endpoints[id]`` is that edge's (min, max) pair;
     - ``colors[id]`` is that edge's color, or ``None`` if uncolored.
 
-    A write through ``colors`` bypasses conflict tracking, as
-    ``set_edge_color`` does.  Both lists live as long as the graph.
+    ``endpoints`` is read-only: the edge set never changes, so readers
+    share the list instead of copying it (``edges()`` returns a copy).  A
+    write through ``colors`` bypasses conflict tracking, as
+    ``set_edge_color`` does.  All three lists live as long as the graph.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -52,12 +56,12 @@ class Graph:
             around[v] = idx
             adj[v][u] = idx
         self.adj = adj
-        self._edges = out
+        self.endpoints = out
         self.colors: list[int | None] = [None] * len(out)
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self.endpoints)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -68,8 +72,9 @@ class Graph:
         return iter(self.adj[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (min, max) pairs, in insertion order."""
-        return list(self._edges)
+        """All edges as (min, max) pairs, in insertion order: a fresh copy
+        of ``endpoints``."""
+        return list(self.endpoints)
 
     def edge_index(self, u: int, v: int) -> int:
         self._check_vertex(u)
@@ -96,7 +101,7 @@ class Graph:
         for idx in self.adj[v].values():
             c = self.colors[idx]
             if c is None:
-                u, w = self._edges[idx]
+                u, w = self.endpoints[idx]
                 raise UncoloredEdgeError(f"edge ({u}, {w}) incident to {v} is uncolored")
             out.append(c)
         return out
@@ -212,7 +217,7 @@ def read_edge_list(path: str) -> Graph:
 def format_coloring(graph: Graph) -> str:
     """Coloring output format: m lines `u v c`, edge insertion order."""
     lines = []
-    for (u, v), c in zip(graph.edges(), graph.colors):
+    for (u, v), c in zip(graph.endpoints, graph.colors):
         if c is None:
             raise UncoloredEdgeError(f"edge ({u}, {v}) is uncolored")
         lines.append(f"{u} {v} {c}")

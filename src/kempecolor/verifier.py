@@ -36,7 +36,7 @@ def check_edge_coloring(graph: Graph, num_colors: int) -> bool:
     if slots <= _TABLE_SLOTS_PER_VERTEX * n + _TABLE_SLOTS_PER_EDGE * graph.m:
         # num_colors <= 0 leaves an empty table, and every colored edge stops the pass
         marked = bytearray(max(slots, 0))
-        for (u, v), c in zip(graph.edges(), colors):
+        for (u, v), c in zip(graph.endpoints, colors):
             if c is None or not 0 <= c < num_colors:
                 break
             a, b = u * num_colors + c, v * num_colors + c
@@ -84,7 +84,7 @@ def brute_force_chromatic_index(graph: Graph) -> int:
 
 
 def _edge_colorable(graph: Graph, num_colors: int) -> bool:
-    edges = sorted(graph.edges())
+    edges = sorted(graph.endpoints)
     used = [set() for _ in range(graph.n)]
 
     def backtrack(i: int) -> bool:

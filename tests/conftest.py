@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import subprocess
 import sys
@@ -7,6 +8,33 @@ import pytest
 
 import kempecolor
 from kempecolor import Graph, odd_graph
+
+# A test still running after this many seconds is taken to hang: every
+# thread's traceback is printed and the run exits with status 1.  The
+# slowest test in the fast suite takes about 4 s.
+WATCHDOG_SECONDS = 300
+WATCHDOG_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of stderr taken while pytest captures nothing, so the traceback
+    # reaches the terminal and not a capture file lost at the exit
+    config.stash[WATCHDOG_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[WATCHDOG_FD])
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    """Turn a test that hangs, such as a chain that never ends, into a failed run."""
+    faulthandler.dump_traceback_later(
+        WATCHDOG_SECONDS, exit=True, file=request.config.stash[WATCHDOG_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),          # outer cycle

@@ -61,8 +61,8 @@ def private_names(obj) -> set[str]:
 
 
 def graph_private_names():
-    """Graph's own private attributes, plus the two the flat view replaced."""
-    return private_names(Graph(2, [(0, 1)])) | {"_adj", "_colors"}
+    """Graph's own private attributes, plus the three the flat view replaced."""
+    return private_names(Graph(2, [(0, 1)])) | {"_adj", "_colors", "_edges"}
 
 
 def conflict_private_names():

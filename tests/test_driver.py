@@ -25,6 +25,41 @@ def test_pass_immediate_success_on_proper_coloring(triangle):
     assert [triangle.edge_color(u, v) for u, v in triangle.edges()] == [0, 1, 2]
 
 
+def test_pass_checks_for_a_dead_state_only_at_stall_counts_2_4_8(monkeypatch, petersen):
+    # the count of chains since the pass's best total, at each check
+    counts, seen = [], {"best": None, "stall": 0}
+    start, detect = driver.kempe_start, ConflictDictionary.detect_dead
+
+    def counted_start(graph, cd, colors, v, rng):
+        if seen["best"] is None:
+            seen["best"] = cd.total
+        steps = start(graph, cd, colors, v, rng)
+        if cd.total < seen["best"]:
+            seen["best"], seen["stall"] = cd.total, 0
+        else:
+            seen["stall"] += 1
+        return steps
+
+    def counted_detect(cd):
+        counts.append(seen["stall"])
+        return detect(cd)
+
+    monkeypatch.setattr(driver, "kempe_start", counted_start)
+    monkeypatch.setattr(ConflictDictionary, "detect_dead", counted_detect)
+    rng = random.Random(0)
+    greedy_precolor(petersen, 3, rng)
+    assert not heuristic_pass(petersen, 3, 50, rng)
+    # each stall checks at 2, 4, 8, ... up to the limit, and the last stall ends the pass
+    assert counts[0] == 2
+    runs = []
+    for count in counts:
+        if count == 2:
+            runs.append([])
+        runs[-1].append(count)
+    assert all(run == [2, 4, 8, 16, 32][: len(run)] for run in runs)
+    assert runs[-1] == [2, 4, 8, 16, 32]
+
+
 def test_pass_solves_triangle(triangle):
     for u, v in triangle.edges():
         triangle.set_edge_color(u, v, 0)

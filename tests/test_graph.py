@@ -69,6 +69,16 @@ def test_edges_start_uncolored(triangle):
     assert all(triangle.edge_color(u, v) is None for u, v in triangle.edges())
 
 
+def test_endpoints_is_one_list_and_edges_a_copy_of_it():
+    g = Graph(4, [(2, 0), (1, 3), (3, 0)])
+    assert g.endpoints is g.endpoints
+    assert g.endpoints == g.edges() == [(0, 2), (1, 3), (0, 3)]
+    copy = g.edges()
+    assert copy is not g.endpoints
+    copy.clear()
+    assert g.m == 3
+
+
 def test_color_symmetry(triangle):
     triangle.set_edge_color(0, 1, 2)
     assert triangle.edge_color(1, 0) == 2

@@ -15,6 +15,7 @@ from kempecolor import (
     heuristic_pass,
     kempe_process,
     kempe_start,
+    odd_graph,
     random_precolor,
     random_regular_graph,
 )
@@ -773,7 +774,10 @@ def reference_pass(graph, colors, repetition_limit, rng):
 
 
 def pass_graph(kind, n, d, rng):
-    """A random graph of the given kind on n vertices, around degree d."""
+    """A random graph of the given kind on n vertices, around degree d; the
+    "dead hub" comes colored, with its hub on an odd cycle of about n edges."""
+    if kind == "dead hub":
+        return dead_hub(rng, n | 1)
     if kind == "hub":
         # vertex 0 is joined to all others, which share a sparse rest
         rest = list(combinations(range(1, n), 2))
@@ -787,7 +791,7 @@ def pass_graph(kind, n, d, rng):
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(
-    st.sampled_from(["regular", "hub", "isolated"]),
+    st.sampled_from(["regular", "hub", "isolated", "dead hub"]),
     st.integers(5, 16),
     st.integers(2, 4),
     st.sampled_from(["delta", "delta+1", "2delta+40"]),
@@ -797,15 +801,278 @@ def pass_graph(kind, n, d, rng):
 )
 def test_pass_matches_whole_pass_reference(kind, n, d, width, precolor, limit, seed):
     # D = delta often leaves a class 2 graph at the repetition limit, and
-    # 2 delta + 40 puts the color index in its dict form
+    # 2 delta + 40 puts the color index in its dict form; so does the dead
+    # hub's degree of 40, whose passes at D = delta are dead from the start
     rng = random.Random(seed)
     g = pass_graph(kind, n, d, rng)
     delta = g.max_degree()
     colors = {"delta": delta, "delta+1": delta + 1, "2delta+40": 2 * delta + 40}[width]
-    precolor(g, colors, rng)
+    if None in g.colors:
+        precolor(g, colors, rng)
     twin = copy_colored(g)
     fast_rng, ref_rng = random.Random(seed), random.Random(seed)
     solved = heuristic_pass(g, colors, limit, fast_rng)
     assert solved == reference_pass(twin, colors, limit, ref_rng)
     assert g.colors == twin.colors
     assert fast_rng.getstate() == ref_rng.getstate()
+
+
+def bucket_state(cd):
+    """Every bucket in its internal order, every bucket position and the total."""
+    return [list(b) for b in cd._buckets], list(cd._pos), cd.total
+
+
+def replay_against_walk(g, colors, limit, seed):
+    """A pass on g whose dictionary looks for a dead state after every chain
+    that does not lower the total, in lockstep with the same pass on a copy
+    whose chains always walk.  After each chain made while g's pass is dead,
+    so replayed, the two must agree.  Returns the number of such chains."""
+    twin = copy_colored(g)
+    cd, walked = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
+    rng, twin_rng = random.Random(seed), random.Random(seed)
+    best, counter, replays = cd.total, 0, 0
+    while cd.total:
+        dead = cd._dead is not None
+        v = cd.sample_max_level(rng)
+        assert walked.sample_max_level(twin_rng) == v
+        steps = kempe_start(g, cd, colors, v, rng)
+        assert kempe_start(twin, walked, colors, v, twin_rng) == steps
+        assert walked._dead is None
+        if dead:
+            replays += 1
+            assert cd._dead is not None
+            assert g.colors == twin.colors
+            assert rng.getstate() == twin_rng.getstate()
+            assert bucket_state(cd) == bucket_state(walked)
+            cd.check_consistency()
+        if cd.total < best:
+            best, counter = cd.total, 0
+        else:
+            counter += 1
+            if counter > limit:
+                break
+            cd.detect_dead()
+    assert g.colors == twin.colors
+    assert rng.getstate() == twin_rng.getstate()
+    return replays
+
+
+@pytest.mark.parametrize("kind", ["cubic n=1000", "quartic n=101", "petersen"])
+def test_replayed_chains_match_walked_chains_in_dead_passes(kind):
+    # every pass at D = delta on an odd-order 4-regular graph or Petersen
+    # fails, and most failing passes end dead; cubic passes fail less often
+    replays = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        if kind == "petersen":
+            g = odd_graph(3)
+        else:
+            g = random_regular_graph(*((1000, 3) if kind.startswith("cubic") else (101, 4)), rng)
+        colors = g.max_degree()
+        for _ in range(3):
+            greedy_precolor(g, colors, rng)
+            replays += replay_against_walk(g, colors, 50, rng.getrandbits(32))
+    assert replays >= 100
+
+
+def dead_state(g, colors, seed, limit=200):
+    """Chains from a pre-colored g, as a pass makes them, until the
+    dictionary accepts the state as dead; None if the pass ends first."""
+    cd = ConflictDictionary(g, colors)
+    rng = random.Random(seed)
+    best, counter = cd.total, 0
+    while cd.total and counter <= limit:
+        kempe_start(g, cd, colors, cd.sample_max_level(rng), rng)
+        if cd.total < best:
+            best, counter = cd.total, 0
+        else:
+            counter += 1
+            if cd.detect_dead():
+                return cd
+    return None
+
+
+@pytest.mark.parametrize("kind", ["cubic n=60", "quartic n=31", "petersen"])
+def test_real_chains_from_an_accepted_state_close_on_their_start(kind):
+    # from a state the detector accepts, every chain goes once round its
+    # start's cycle, so it swaps exactly the recorded edges and the total stays
+    accepted = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        if kind == "petersen":
+            g = odd_graph(3)
+        else:
+            g = random_regular_graph(*((60, 3) if kind.startswith("cubic") else (31, 4)), rng)
+        colors = g.max_degree()
+        random_precolor(g, colors, rng)
+        cd = dead_state(g, colors, seed)
+        if cd is None:
+            continue
+        accepted += 1
+        cycles = {v: set(rec[2] + rec[3]) for v, rec in cd._dead.items()}
+        twin = copy_colored(g)
+        walked = ConflictDictionary(twin, colors)
+        total = walked.total
+        for _ in range(200):
+            v = walked.sample_max_level(rng)
+            before = list(twin.colors)
+            steps = kempe_start(twin, walked, colors, v, rng)
+            changed = {i for i, (x, y) in enumerate(zip(before, twin.colors)) if x != y}
+            assert changed == cycles[v]
+            assert steps == len(cycles[v])
+            assert walked.total == total
+        walked.check_consistency()
+    assert accepted >= 10
+
+
+def cycle_edges(first, length, a, c):
+    """An odd cycle first-(first+1)-...-(first+length-1)-first whose edges are
+    colored a, c, a, ..., a, so ``first`` has two a-edges and no c-edge."""
+    ring = [first + i for i in range(length)] + [first]
+    return [((x, y), a if i % 2 == 0 else c) for i, (x, y) in enumerate(zip(ring, ring[1:]))]
+
+
+def dead_triangles(pairs, colors):
+    """One triangle per color pair (a, c), its first vertex at level 1 with
+    pendant edges in every other color, so that vertex has degree ``colors``."""
+    edges, n = [], 0
+    for a, c in pairs:
+        v = n
+        edges += cycle_edges(v, 3, a, c)
+        n += 3
+        for other in range(colors):
+            if other not in (a, c):
+                edges.append(((v, n), other))
+                n += 1
+    return colored(n, edges)
+
+
+def test_detector_rejects_a_state_without_conflicts():
+    for g in (Graph(3, []), path_graph([0, 1])):
+        cd = ConflictDictionary(g, 2)
+        assert not cd.detect_dead()
+        assert cd._dead is None
+
+
+def test_detector_accepts_equal_or_disjoint_pairs_on_separate_cycles():
+    for pairs in ([(0, 1)], [(0, 1), (1, 0)], [(0, 1), (2, 3)], [(0, 1), (3, 2), (1, 0)]):
+        g = dead_triangles(pairs, 4)
+        cd = ConflictDictionary(g, 4)
+        assert cd.detect_dead()
+        assert sorted(cd._dead) == [3 * i + 2 * i for i in range(len(pairs))]
+
+
+@pytest.mark.parametrize("case", [
+    "pairs share one color", "level 2", "D above the degree", "path component",
+    "two conflicts on one component",
+])
+def test_detector_rejects(case):
+    if case == "pairs share one color":
+        g, colors = dead_triangles([(0, 1), (1, 2)], 4), 4
+    elif case == "level 2":
+        # a dead triangle beside a star whose three edges share a color
+        g = dead_triangles([(0, 1)], 4)
+        g = colored(g.n + 4, [((u, v), g.edge_color(u, v)) for u, v in g.edges()]
+                    + [((g.n, g.n + i), 0) for i in (1, 2, 3)])
+        colors = 4
+    elif case == "D above the degree":
+        g, colors = dead_triangles([(0, 1)], 4), 5
+    elif case == "path component":
+        # v = 0 has two 0-edges and no 1-edge, but its {0, 1} component is
+        # the path 2-0-1-3, not a cycle
+        g, colors = colored(5, [((0, 1), 0), ((0, 2), 0), ((1, 3), 1), ((0, 4), 2)]), 3
+    else:
+        # an alternating five-cycle through 0 and 2, both with two 0-edges
+        # and no 1-edge: a chain from either stops at the other
+        g = colored(5, [((0, 1), 0), ((1, 2), 0), ((2, 3), 0), ((3, 4), 1), ((4, 0), 0)])
+        colors = 2
+    cd = ConflictDictionary(g, colors)
+    assert cd.total > 0
+    assert not cd.detect_dead()
+    assert cd._dead is None
+
+
+def test_a_conflicting_vertex_on_another_cycle_moves_in_its_bucket():
+    # v = 0 on a {0, 1} five-cycle through w = 2, which is itself at level 1
+    # on a {2, 3} triangle: a chain from v moves w to the end of bucket 1
+    edges = cycle_edges(0, 5, 0, 1)
+    edges += [((0, 5), 2), ((0, 6), 3)]
+    edges += [((2, 7), 2), ((7, 8), 3), ((8, 2), 2)]
+    # vertex 9 sits at level 1 on a {0, 1} triangle of its own
+    edges += cycle_edges(9, 3, 0, 1) + [((9, 12), 2), ((9, 13), 3)]
+    g = colored(14, edges)
+    cd = ConflictDictionary(g, 4)
+    assert sorted(cd._buckets[1]) == [0, 2, 9]
+    assert cd.detect_dead()
+    assert cd._dead[0][5] == [2 * 5]
+    for seed in range(4):
+        assert replay_against_walk(copy_colored(g), 4, 20, seed) > 0
+
+
+def dead_hub(rng, length):
+    """Vertex 0 of degree 40 at level 1 on an odd {a, c} cycle of ``length``
+    edges, every other spoke to a leaf in its own color, the edges in a
+    random order; at D = 40 the pass is dead and the index is a dict."""
+    perm = rng.sample(range(40), 40)
+    a, c = perm[0], perm[1]
+    edges = cycle_edges(0, length, a, c)
+    edges += [((0, length + i), color) for i, color in enumerate(perm[2:])]
+    rng.shuffle(edges)
+    return colored(length + 38, edges)
+
+
+def test_replay_on_the_dict_index_deletes_the_emptied_slot():
+    for seed in range(4):
+        g = dead_hub(random.Random(seed), 5)
+        cd = ConflictDictionary(g, 40)
+        assert isinstance(cd._at, _SparseIndex)
+        assert cd.detect_dead()
+        keys = set(cd._at)
+        kempe_start(g, cd, 40, 0, random.Random(seed))
+        # the hub's doubled slot is gone and its free one is filled: one key traded
+        assert None not in cd._at.values()
+        assert len(set(cd._at) - keys) == len(keys - set(cd._at)) == 1
+        cd.check_consistency()
+        assert replay_against_walk(g, 40, 50, seed) > 0
+
+
+def dead_triangle_dictionary():
+    g = dead_triangles([(0, 1)], 3)
+    cd = ConflictDictionary(g, 3)
+    assert cd.detect_dead()
+    return g, cd
+
+
+def test_color_edge_drops_the_records():
+    g, cd = dead_triangle_dictionary()
+    assert cd.color_edge(0, 3, 2) == 0  # the edge's own color: no write
+    assert cd._dead is not None
+    cd.color_edge(1, 2, 2)
+    assert cd._dead is None
+    cd.check_consistency()
+
+
+def test_kempe_process_drops_the_records():
+    g, cd = dead_triangle_dictionary()
+    kempe_process(g, cd, 0, 3, 1, random.Random(0))
+    assert cd._dead is None
+    cd.check_consistency()
+
+
+def test_a_walked_chain_drops_the_records():
+    # a chain from the dead vertex after a write has walked, not replayed
+    g, cd = dead_triangle_dictionary()
+    cd.color_edge(1, 2, 2)
+    assert cd.detect_dead() is False
+    kempe_start(g, cd, 3, 0, random.Random(0))
+    assert cd._dead is None
+    cd.check_consistency()
+
+
+def test_a_replay_keeps_the_records():
+    g, cd = dead_triangle_dictionary()
+    rng = random.Random(0)
+    for _ in range(3):
+        assert kempe_start(g, cd, 3, 0, rng) == 3
+        assert cd._dead is not None
+        cd.check_consistency()
