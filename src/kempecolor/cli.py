@@ -2,8 +2,9 @@
 
 Exit statuses: 0 success, 1 heuristic failure / rejected coloring,
 2 usage or parameter error (``GraphError``, ``ParameterError``), 3 parse
-or I/O error (``ParseError``, ``OSError``).  The commands raise; ``main``
-alone turns an error into its status and one ``error:`` line.
+or I/O error (``ParseError``, ``OSError``), 70 internal fault
+(``RuntimeError``, ``MemoryError``).  The commands raise; ``main`` alone
+turns an error into its status and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_HEURISTIC_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -144,7 +146,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; print any parse, I/O, usage or parameter error as one line."""
+    """Run one command; print any parse, I/O, usage or parameter error, or
+    internal fault, as one line."""
     args = build_parser().parse_args(argv)
     handler = {
         "color": cmd_color,
@@ -160,6 +163,9 @@ def main(argv=None) -> int:
     except (GraphError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

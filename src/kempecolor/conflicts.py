@@ -28,11 +28,14 @@ so its doubled color a and its free color c are forced, when its {a, c}
 component is a cycle back to it on which every other vertex has one edge
 of each color, and when any two such pairs are equal or share no color.
 Every chain then goes once round its start's cycle and swaps a and c on
-it, and the state stays dead.  ``ConflictDictionary.detect_dead`` finds
-that state and caches one record per conflicting vertex, and
-``kempe_start`` then replays the chain from the record: the same color
-writes, index slots, bucket moves, draws and returned count as the walk,
-without walking.  Any other write drops the records.
+it, and the state stays dead, so after k chains from a vertex its cycle
+is swapped iff k is odd.  ``ConflictDictionary.detect_dead`` finds that
+state and caches one record per conflicting vertex, and ``kempe_start``
+then replays the chain from the record: the walk's draws, bucket moves
+and returned count, without walking, and one flip of the record's
+parity.  ``ConflictDictionary.settle`` makes the pending swaps, once per
+record of odd parity, before anything reads the colors or the index;
+any write or walk settles and then drops the records.
 
 The greedy and random pre-colorings that start each pass live here too,
 so one module owns the taken-color bitmask, the free-color walk
@@ -220,7 +223,9 @@ class ConflictDictionary:
     list read.
 
     ``_dead`` is None, or while the pass is dead, the replay record of
-    each conflicting vertex (see ``detect_dead``).
+    each conflicting vertex (see ``detect_dead``).  While it holds records,
+    the colors and the color index may lag the levels and buckets by a
+    swap of each record's cycle, until ``settle``.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -282,16 +287,17 @@ class ConflictDictionary:
 
         Returns the conflict-level change at v, the second endpoint.  The
         validated single-edge form of a chain step: each endpoint gets the
-        ``_recolor`` update that a Kempe chain applies at its two ends.
+        ``_recolor`` update that a Kempe chain applies at its two ends.  A
+        dead pass's records are settled and dropped first, even for a no-op.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
         idx = self.graph.edge_index(u, v)
+        self._drop()
         colors = self.graph.colors
         old = colors[idx]
         if old == color:
             return 0
-        self._dead = None
         colors[idx] = color
         width = self._width
         self._recolor(u * width, idx, old, color)
@@ -299,7 +305,7 @@ class ConflictDictionary:
 
     def detect_dead(self) -> bool:
         """True when the pass is dead, and then each conflicting vertex's
-        chain is replayed from a cached record until another write.
+        chain is replayed from a cached record until another write or walk.
 
         Dead means: every conflicting vertex v has level 1 and degree D,
         so it has one doubled color a and one free color c; v's {a, c}
@@ -310,13 +316,18 @@ class ConflictDictionary:
         close on v, swapping a and c on it; v leaves bucket 1 and rejoins
         it at the end, and each conflicting vertex on the cycle moves to
         the end of its bucket in passing.  That swap keeps every condition
-        for every vertex, with a and c trading places at v.
+        for every vertex, with a and c trading places at v.  Two such
+        cycles share no edge and no slot, so each swap is the same whatever
+        the others do, and two swaps of one cycle cancel.
 
-        The record holds v's two slots, the cycle's edge ids in walk order
-        split by their place (odd places have color a), the slot pair of
-        each other cycle vertex and the record bases of the conflicting
-        ones.  The check reads v's edges and walks each cycle once, so it
-        costs about one chain per conflicting vertex.
+        The record is a list: the parity of the swaps not yet made, the
+        cycle's length, the conflicting vertices on it, v's two slots, the
+        cycle's edge ids in walk order split by their place (odd places
+        have color a) and the slot pair of each other cycle vertex.  The
+        check reads v's edges and walks each cycle once, so it costs about
+        one chain per conflicting vertex.  A walk that has not closed
+        after m edges can only follow a corrupt index, and raises
+        RuntimeError.
         """
         if self._dead is not None:
             return True
@@ -326,7 +337,7 @@ class ConflictDictionary:
         # all levels 1: the total counts each conflicting vertex once
         if self.total != len(ones):
             return False
-        adj, colors = self.graph.adj, self.graph.colors
+        adj, colors, m = self.graph.adj, self.graph.colors, self.graph.m
         at, ends, width = self._at, self._ends, self._width
         owner: dict[int, tuple[int, int]] = {}
         dead = {}
@@ -345,20 +356,59 @@ class ConflictDictionary:
             walk, slots, inner = [start], [], []
             kc, ko = c + 1, a + 1
             b = ends[start] - s
-            while b != s:
+            # a cycle has at most m edges, so the walk closes within m turns
+            for _ in range(m):
+                if b == s:
+                    break
                 sc, so = b + kc, b + ko
                 e = at[sc]
                 if e is None or e < 0 or at[so] < 0:
                     return False
                 slots.append((sc, so))
                 if at[b]:
-                    inner.append(b)
+                    inner.append(b // width)
                 walk.append(e)
                 b = ends[e] - b
                 kc, ko = ko, kc
-            dead[v] = [s + 1 + a, s + 1 + c, walk[::2], walk[1::2], slots, inner]
+            else:
+                raise RuntimeError(f"vertex {v}'s cycle walk does not close: corrupt color index")
+            dead[v] = [0, len(walk), inner, s + 1 + a, s + 1 + c, walk[::2], walk[1::2], slots]
         self._dead = dead
         return True
+
+    def settle(self) -> None:
+        """Make each record's pending cycle swap, so that the colors and the
+        color index match the levels and buckets again; the records stay.
+
+        A record of odd parity has its odd-place edges recolored from a to
+        c and its even-place ones from c to a, each other cycle vertex's
+        slot pair traded, and v's doubled slot emptied while its free one
+        marks two edges, as ``_recolor`` leaves them; a and c then trade
+        places in the record.  A record of even parity is left as it is.
+        """
+        if self._dead is None:
+            return
+        colors, at, width = self.graph.colors, self._at, self._width
+        for v, record in self._dead.items():
+            if not record[0]:
+                continue
+            _, _, _, ka, kc, odd, even, slots = record
+            a, c = ka - v * width - 1, kc - v * width - 1
+            for e in odd:
+                colors[e] = c
+            for e in even:
+                colors[e] = a
+            for i, j in slots:
+                at[i], at[j] = at[j], at[i]
+            at[kc] = -1
+            _clear(at, ka)
+            record[0], record[3], record[4] = 0, kc, ka
+
+    def _drop(self) -> None:
+        """Settle and drop the records, before a write or a walk that can
+        end the dead state."""
+        self.settle()
+        self._dead = None
 
     def _recolor(self, b: int, idx: int, old: int, new: int) -> int:
         """Update the record at base b for edge ``idx`` going from ``old``
@@ -422,8 +472,10 @@ class ConflictDictionary:
 
         Levels are compared with the set-based ``conflict_level``, and the
         color index with one rebuilt edge by edge, so this shares no code
-        with the incremental updates it checks.
+        with the incremental updates it checks.  Pending swaps are settled
+        first.
         """
+        self.settle()
         graph, colors, width = self.graph, self.colors, self._width
         at = _new_index(graph, colors)
         edges = graph.endpoints
@@ -493,10 +545,12 @@ def kempe_process(
     branch when it is re-entered, and membership is tested only there.
 
     ``graph`` must be the graph ``cd`` tracks; any other raises GraphError
-    before a write or a draw.
+    before a write or a draw.  A dead pass's records are settled and
+    dropped first.
     """
     _check_tracked(graph, cd)
     idx = graph.edge_index(start, node)
+    cd._drop()
     if graph.colors[idx] == new_color:
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
     if not (0 <= new_color < cd.colors):
@@ -514,13 +568,13 @@ def _check_tracked(graph, cd: ConflictDictionary) -> None:
 def _chain(cd, s, b, idx, new_color, rng) -> int:
     """``kempe_process`` on ``cd``'s graph for edge id ``idx`` between the
     vertices whose record bases are s (the start) and b, with ``idx`` not
-    colored ``new_color``, a color its caller keeps in [0, D).
+    colored ``new_color``, a color its caller keeps in [0, D), and any
+    dead-pass records settled and dropped.
 
     Each loop turn tries two simple steps: the first carries the color the
     turn starts with and the second the other one, so neither step swaps
     them.  Any other step goes to the general path below, which swaps them.
     """
-    cd._dead = None
     adj = cd.graph.adj
     colors = cd.graph.colors
     at, ends, width = cd._at, cd._ends, cd._width
@@ -603,34 +657,36 @@ def _chain(cd, s, b, idx, new_color, rng) -> int:
     return steps
 
 
-def _replay(cd, s, record, getrandbits) -> int:
-    """The chain from the vertex at record base s in a dead pass, from its
-    ``detect_dead`` record: the walk's draws, color writes, index slots
-    and bucket moves, in the walk's bucket order, and its recoloring count.
+def _replay(cd, v, record, getrandbits) -> int:
+    """The chain from vertex v in a dead pass, from its ``detect_dead``
+    record: the walk's draws and bucket moves, in the walk's order, and its
+    recoloring count, with the cycle's swap left pending.
 
     The draws are ``kempe_start``'s two over one item and one per cycle
-    edge.  Each other cycle vertex trades its two slots, and the start's
-    doubled slot empties while its free one marks two edges, as
-    ``_recolor`` leaves them.
+    edge.  The bucket moves are ``_shift``'s, made inline in bucket 1: v
+    leaves it, each conflicting cycle vertex moves to its end and v joins
+    it again, so no level and not the total change.  The swap is one flip
+    of the record's parity, made by ``ConflictDictionary.settle``.
     """
-    ka, kc, odd, even, slots, inner = record
-    record[0], record[1] = kc, ka
-    steps = len(odd) + len(even)
+    steps = record[1]
     _skip_single_draws(getrandbits, steps + 2)
-    colors, at = cd.graph.colors, cd._at
-    a, c = ka - s - 1, kc - s - 1
-    for e in odd:
-        colors[e] = c
-    for e in even:
-        colors[e] = a
-    for i, j in slots:
-        at[i], at[j] = at[j], at[i]
-    at[kc] = -1
-    _clear(at, ka)
-    cd._shift(s, -1)
-    for b in inner:
-        cd._shift(b, 0)
-    cd._shift(s, 1)
+    record[0] ^= 1
+    members, pos = cd._buckets[1], cd._pos
+    last = members.pop()
+    if last != v:
+        i = pos[v]
+        members[i] = last
+        pos[last] = i
+    end = len(members) - 1
+    for w in record[2]:
+        i = pos[w]
+        last = members[end]
+        members[i] = last
+        members[end] = w
+        pos[last] = i
+        pos[w] = end
+    pos[v] = end + 1
+    members.append(v)
     return steps
 
 
@@ -648,15 +704,20 @@ def kempe_start(
     ``cd`` tracks; any other raises GraphError before a write or a draw.
     Returns the number of recolorings performed.  While ``cd`` holds a
     dead pass's records, v's chain is replayed from its record instead,
-    with the same draws, writes and result.
+    with the same draws, bucket moves and result, and its writes left to
+    ``ConflictDictionary.settle``; a v without a record settles and drops
+    them before it reads a color.
     """
     _check_tracked(graph, cd)
     if num_colors != cd.colors:
         raise GraphError(f"{num_colors} colors given, but the dictionary tracks {cd.colors}")
     deg = graph.degree(v)  # raises GraphError unless v is a vertex
-    s = v * cd._width
-    if cd._dead is not None and v in cd._dead:
-        return _replay(cd, s, cd._dead[v], rng.getrandbits)
+    dead = cd._dead
+    if dead is not None:
+        record = dead.get(v)
+        if record is not None:
+            return _replay(cd, v, record, rng.getrandbits)
+        cd._drop()
     seen, repeated = _repeats(graph.adj[v], graph.colors)
     if not repeated:
         return 0
@@ -668,4 +729,5 @@ def kempe_start(
     getrandbits = rng.getrandbits
     idx = repeated[_randbelow(getrandbits, len(repeated))]
     new_color = _nth_free(seen, _randbelow(getrandbits, free))
+    s = v * cd._width
     return _chain(cd, s, cd._ends[idx] - s, idx, new_color, rng)

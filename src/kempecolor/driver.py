@@ -64,6 +64,8 @@ def heuristic_pass(
     At counts 2, 4, 8, ... the dictionary checks whether the pass is dead,
     so that its chains are replayed rather than walked; that changes no
     result, and costs at most about log2 of the limit checks per stall.
+    A replay leaves its cycle's swap pending, so a failed pass settles the
+    dictionary before it returns and the graph holds the walked colors.
     """
     cd = ConflictDictionary(graph, colors)
     best, counter = cd.total, 0
@@ -74,6 +76,7 @@ def heuristic_pass(
         else:
             counter += 1
             if counter > repetition_limit:
+                cd.settle()
                 return False
             if counter > 1 and not counter & (counter - 1):
                 cd.detect_dead()

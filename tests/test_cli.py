@@ -418,15 +418,20 @@ def test_exit_statuses_of_the_module_as_a_process(tmp_path):
         assert re.fullmatch(want, done.stderr), done.stderr
 
 
-def test_internal_fault_escapes_main(k4_file, monkeypatch):
+@pytest.mark.parametrize("error", [
+    RuntimeError("success reported for an improper coloring"), MemoryError(),
+], ids=["RuntimeError", "MemoryError"])
+def test_internal_fault_exits_with_status_70(k4_file, monkeypatch, capsys, error):
     import kempecolor.cli as cli
 
     def fault(*args):
-        raise RuntimeError("success reported for an improper coloring")
+        raise error
 
     monkeypatch.setattr(cli, "apply_heuristic", fault)
-    with pytest.raises(RuntimeError, match="improper coloring"):
-        main(["color", k4_file, "--seed", "0"])
+    assert main(["color", k4_file, "--seed", "0"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: internal fault: {type(error).__name__}: [^\n]*\n", err), err
 
 
 # wall_time_s and time_per_pass_s masked; degree 3 twice, so each of its runs

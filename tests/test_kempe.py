@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -826,11 +827,19 @@ def replay_against_walk(g, colors, limit, seed):
     """A pass on g whose dictionary looks for a dead state after every chain
     that does not lower the total, in lockstep with the same pass on a copy
     whose chains always walk.  After each chain made while g's pass is dead,
-    so replayed, the two must agree.  Returns the number of such chains."""
-    twin = copy_colored(g)
+    so replayed, the count, the draws and the buckets must agree.  The
+    colors and the index must agree once settled: after every such chain in
+    one pass of three, after runs of 2 to 7 in the others, so that even
+    parities and several pending cycles are settled too, and at the pass's
+    end.  ``heuristic_pass`` on a third copy must end with the same colors
+    and draws.  Returns the number of replayed chains."""
+    twin, driven = copy_colored(g), copy_colored(g)
     cd, walked = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
     rng, twin_rng = random.Random(seed), random.Random(seed)
-    best, counter, replays = cd.total, 0, 0
+    schedule = random.Random(seed + 1)
+    every = schedule.randrange(3) == 0
+    best, counter, replays, pending = cd.total, 0, 0, 0
+    gap = 1 if every else schedule.randint(2, 7)
     while cd.total:
         dead = cd._dead is not None
         v = cd.sample_max_level(rng)
@@ -841,10 +850,15 @@ def replay_against_walk(g, colors, limit, seed):
         if dead:
             replays += 1
             assert cd._dead is not None
-            assert g.colors == twin.colors
             assert rng.getstate() == twin_rng.getstate()
             assert bucket_state(cd) == bucket_state(walked)
-            cd.check_consistency()
+            pending += 1
+            if pending == gap:
+                cd.settle()
+                assert g.colors == twin.colors
+                cd.check_consistency()
+                pending = 0
+                gap = 1 if every else schedule.randint(2, 7)
         if cd.total < best:
             best, counter = cd.total, 0
         else:
@@ -852,8 +866,14 @@ def replay_against_walk(g, colors, limit, seed):
             if counter > limit:
                 break
             cd.detect_dead()
+    cd.settle()
     assert g.colors == twin.colors
     assert rng.getstate() == twin_rng.getstate()
+    cd.check_consistency()
+    driven_rng = random.Random(seed)
+    assert heuristic_pass(driven, colors, limit, driven_rng) == (cd.total == 0)
+    assert driven.colors == twin.colors
+    assert driven_rng.getstate() == twin_rng.getstate()
     return replays
 
 
@@ -909,7 +929,7 @@ def test_real_chains_from_an_accepted_state_close_on_their_start(kind):
         if cd is None:
             continue
         accepted += 1
-        cycles = {v: set(rec[2] + rec[3]) for v, rec in cd._dead.items()}
+        cycles = {v: set(rec[5] + rec[6]) for v, rec in cd._dead.items()}
         twin = copy_colored(g)
         walked = ConflictDictionary(twin, colors)
         total = walked.total
@@ -1004,7 +1024,7 @@ def test_a_conflicting_vertex_on_another_cycle_moves_in_its_bucket():
     cd = ConflictDictionary(g, 4)
     assert sorted(cd._buckets[1]) == [0, 2, 9]
     assert cd.detect_dead()
-    assert cd._dead[0][5] == [2 * 5]
+    assert cd._dead[0][2] == [2]
     for seed in range(4):
         assert replay_against_walk(copy_colored(g), 4, 20, seed) > 0
 
@@ -1029,6 +1049,8 @@ def test_replay_on_the_dict_index_deletes_the_emptied_slot():
         assert cd.detect_dead()
         keys = set(cd._at)
         kempe_start(g, cd, 40, 0, random.Random(seed))
+        assert set(cd._at) == keys  # the swap waits for settle
+        cd.settle()
         # the hub's doubled slot is gone and its free one is filled: one key traded
         assert None not in cd._at.values()
         assert len(set(cd._at) - keys) == len(keys - set(cd._at)) == 1
@@ -1044,12 +1066,13 @@ def dead_triangle_dictionary():
 
 
 def test_color_edge_drops_the_records():
-    g, cd = dead_triangle_dictionary()
-    assert cd.color_edge(0, 3, 2) == 0  # the edge's own color: no write
-    assert cd._dead is not None
-    cd.color_edge(1, 2, 2)
-    assert cd._dead is None
-    cd.check_consistency()
+    # the edge's own color writes nothing, but its check reads the color,
+    # so it settles and drops the records all the same
+    for u, v, color in ((0, 3, 2), (1, 2, 2)):
+        g, cd = dead_triangle_dictionary()
+        cd.color_edge(u, v, color)
+        assert cd._dead is None
+        cd.check_consistency()
 
 
 def test_kempe_process_drops_the_records():
@@ -1074,5 +1097,74 @@ def test_a_replay_keeps_the_records():
     rng = random.Random(0)
     for _ in range(3):
         assert kempe_start(g, cd, 3, 0, rng) == 3
+        cd.settle()
         assert cd._dead is not None
         cd.check_consistency()
+
+
+# (pairs, colors, replayed chain starts): one dead triangle at vertex 0, and
+# two at vertices 0 and 5 on disjoint pairs, the second replayed twice
+DEAD_STATES = {
+    "one cycle": ([(0, 1)], 3, [0]),
+    "two cycles": ([(0, 1), (2, 3)], 4, [0, 5, 5]),
+}
+
+
+def replayed_twins(state):
+    """A dead state after an odd number of replayed chains, its cycle at
+    vertex 0 swapped once, and a twin whose same chains walked."""
+    pairs, colors, starts = DEAD_STATES[state]
+    g = dead_triangles(pairs, colors)
+    twin = copy_colored(g)
+    cd, walked = ConflictDictionary(g, colors), ConflictDictionary(twin, colors)
+    assert cd.detect_dead()
+    rng, twin_rng = random.Random(1), random.Random(1)
+    for v in starts:
+        assert kempe_start(g, cd, colors, v, rng) == kempe_start(twin, walked, colors, v, twin_rng)
+    # vertex 0's triangle 0-1-2 has gone from colors 0, 1, 0 to 1, 0, 1
+    assert twin.edge_color(1, 2) == 0
+    return colors, (g, cd, rng), (twin, walked, twin_rng)
+
+
+# each reads a color or a slot that a pending swap would leave stale: edge
+# (1, 2) colored 0 to 0 is a no-op only once settled, a chain coloring it 1
+# is refused on the stale color, and vertex 1 has no record
+STALE_READS = {
+    "color_edge": lambda colors, g, cd, rng: cd.color_edge(1, 2, 0),
+    "kempe_process": lambda colors, g, cd, rng: kempe_process(g, cd, 1, 2, 1, rng),
+    "kempe_start without a record": lambda colors, g, cd, rng: kempe_start(g, cd, colors, 1, rng),
+    "check_consistency": lambda colors, g, cd, rng: cd.check_consistency(),
+}
+
+
+@pytest.mark.parametrize("state", sorted(DEAD_STATES))
+@pytest.mark.parametrize("path", sorted(STALE_READS))
+def test_no_stale_read_while_swaps_are_pending(path, state):
+    colors, (g, cd, rng), (twin, walked, twin_rng) = replayed_twins(state)
+    call = STALE_READS[path]
+    assert call(colors, g, cd, rng) == call(colors, twin, walked, twin_rng)
+    assert g.colors == twin.colors
+    assert rng.getstate() == twin_rng.getstate()
+    assert bucket_state(cd) == bucket_state(walked)
+    # only the check keeps the records; the next chain replays or walks
+    assert (cd._dead is not None) == (path == "check_consistency")
+    assert kempe_start(g, cd, colors, 0, rng) == kempe_start(twin, walked, colors, 0, twin_rng)
+    cd.settle()
+    assert g.colors == twin.colors
+    assert rng.getstate() == twin_rng.getstate()
+    cd.check_consistency()
+    walked.check_consistency()
+
+
+def test_a_walk_on_a_corrupt_index_raises():
+    # vertex 0 at level 1 on the {0, 1} five-cycle 0-1-2-3-4-0 is walked
+    # from its later 0-edge, (4, 0); vertex 3's 0-slot is pointed at its
+    # 1-edge, back to 4, so the walk would go 4-3-4-3-... without end
+    g = colored(6, cycle_edges(0, 5, 0, 1) + [((0, 5), 2)])
+    cd = ConflictDictionary(g, 3)
+    cd._at[3 * cd._width + 1] = g.edge_index(3, 4)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="corrupt color index"):
+        cd.detect_dead()
+    assert time.perf_counter() - start < 5
+    assert cd._dead is None
