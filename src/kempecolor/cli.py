@@ -164,7 +164,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RuntimeError, MemoryError) as exc:
-        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""  # a MemoryError often has none
+        print(f"error: internal fault: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_SOFTWARE
 
 

@@ -33,11 +33,12 @@ is swapped iff k is odd.  ``ConflictDictionary.detect_dead`` finds that
 state and caches one record per conflicting vertex, and ``kempe_start``
 then replays the chain from the record: the walk's draws, bucket moves
 and returned count, without walking, and one flip of the record's
-parity.  ``ConflictDictionary.settle`` makes the pending swap of each
-record of odd parity and drops the records, before anything reads the
-colors or the index.  So the dictionary holds either no records, or
-records whose swaps may be pending, and the next chain after a settle
-walks.
+parity.  A record keeps its cycle once, as the edge ids in walk order.
+``ConflictDictionary.settle`` walks each record of odd parity once more,
+swapping a and c on its edges and index slots, and drops the records,
+before anything reads the colors or the index.  So the dictionary holds
+either no records, or records whose swaps may be pending, and the next
+chain after a settle walks.
 
 The greedy and random pre-colorings that start each pass live here too,
 so one module owns the taken-color bitmask, the free-color walk
@@ -82,16 +83,16 @@ def _skip_single_draws(getrandbits, r: int) -> None:
     """Make the draws of r ``randrange(1)`` calls: r ``getrandbits(1)`` loops,
     each of which stops at the first 32-bit word whose top bit is clear.
 
-    ``getrandbits(32 * k)`` returns the next k words, first word lowest;
-    with k <= r, every one is a word the loops would take, and each word
-    whose top bit is clear ends one loop.  Below 8 owed draws the loops
-    are made one ``getrandbits(1)`` call at a time.
+    Each round takes k = min(r, 1024) words with one ``getrandbits(32 *
+    k)``, which returns the next k words, first word lowest; with k <= r,
+    every one is a word the loops would take, and each word whose top bit
+    is clear ends one loop.  Below 8 owed draws the loops are made one
+    ``getrandbits(1)`` call at a time.
     """
-    while r > 1024:
-        r -= 1024 - (getrandbits(32768) & _TOPS).bit_count()
     while r >= 8:
-        # k = r: the loops still open are those whose word's top bit is set
-        r = (getrandbits(32 * r) & _TOPS).bit_count()
+        k = r if r < 1024 else 1024
+        # each of the k words whose top bit is clear closes one loop
+        r -= k - (getrandbits(32 * k) & _TOPS).bit_count()
     while r:
         if not getrandbits(1):
             r -= 1
@@ -324,13 +325,13 @@ class ConflictDictionary:
         the others do, and two swaps of one cycle cancel.
 
         The record is a list: the parity of the swaps not yet made, the
-        cycle's length, the conflicting vertices on it, a and c, the
-        cycle's edge ids in walk order and the record base of every cycle
-        vertex, v's first.  After this, only ``_replay``'s parity flip
-        writes to it.  The check reads v's edges and walks each cycle once,
-        so it costs about one chain per conflicting vertex.  A walk that
-        has not closed after m edges can only follow a corrupt index, and
-        raises RuntimeError.
+        cycle's length, the conflicting vertices on it, a and c, and the
+        cycle's edge ids in walk order, along which ``settle`` walks the
+        cycle again.  After this, only ``_replay``'s parity flip writes to
+        it.  The check reads v's edges and walks each cycle once, so it
+        costs about one chain per conflicting vertex.  A walk that has not
+        closed after m edges can only follow a corrupt index, and raises
+        RuntimeError.
         """
         if self._dead is not None:
             return True
@@ -356,7 +357,7 @@ class ConflictDictionary:
                 return False
             s = v * width
             # walk v's {a, c} component from its later a-edge, carrying c
-            walk, bases, inner = [start], [s], []
+            walk, inner = [start], []
             kc, ko = c + 1, a + 1
             b = ends[start] - s
             # a cycle has at most m edges, so the walk closes within m turns
@@ -367,7 +368,6 @@ class ConflictDictionary:
                 e = at[sc]
                 if e is None or e < 0 or at[so] < 0:
                     return False
-                bases.append(b)
                 if at[b]:
                     inner.append(b // width)
                 walk.append(e)
@@ -375,7 +375,7 @@ class ConflictDictionary:
                 kc, ko = ko, kc
             else:
                 raise RuntimeError(f"vertex {v}'s cycle walk does not close: corrupt color index")
-            dead[v] = [0, len(walk), inner, a, c, walk, bases]
+            dead[v] = [0, len(walk), inner, a, c, walk]
         self._dead = dead
         return True
 
@@ -384,26 +384,28 @@ class ConflictDictionary:
         that the colors and the color index match the levels and buckets
         again and the next chain walks.
 
-        A record of odd parity has a and c swapped on every walk edge and
-        the a/c slot pair swapped at every cycle vertex, v included, which
-        empties v's a slot and marks two c-edges there, as ``_recolor``
-        leaves them; v's a slot is then cleared with ``_clear``, so the
-        dict form of the index holds no None.  A record of even parity has
-        nothing pending.
+        A record of odd parity is walked from v's record base along its
+        edges, stepping ``b = ends[e] - b`` as the chain does: each edge
+        has a and c swapped, and each base its a/c slot pair, v's included,
+        which empties v's a slot and marks two c-edges there, as
+        ``_recolor`` leaves them.  v's a slot is then cleared with
+        ``_clear``, so the dict form of the index holds no None.  A record
+        of even parity has nothing pending.
         """
         dead, self._dead = self._dead, None
         if dead is None:
             return
-        colors, at = self.graph.colors, self._at
-        for parity, _, _, a, c, walk, bases in dead.values():
+        colors, at, ends, width = self.graph.colors, self._at, self._ends, self._width
+        for v, (parity, _, _, a, c, walk) in dead.items():
             if not parity:
                 continue
+            ka, kc = a + 1, c + 1
+            b = v * width
             for e in walk:
                 colors[e] = a + c - colors[e]  # a <-> c
-            ka, kc = a + 1, c + 1
-            for b in bases:
                 at[b + ka], at[b + kc] = at[b + kc], at[b + ka]
-            _clear(at, bases[0] + ka)
+                b = ends[e] - b
+            _clear(at, b + ka)  # the walk closes on v
 
     def _recolor(self, b: int, idx: int, old: int, new: int) -> int:
         """Update the record at base b for edge ``idx`` going from ``old``
@@ -436,11 +438,12 @@ class ConflictDictionary:
         This is the only writer of levels and the total, and ``__init__``
         joins each conflicting vertex through it.  ``_replay`` is the other
         writer of buckets and bucket positions: it makes a dead-pass
-        chain's bucket-1 moves inline, since sending them through this
-        method read 7.7% slower per color write on perfbench's class2-fail
-        (0.190 against 0.204 us, 2-vCPU host).  The vertex leaves its
-        bucket by taking the last member into its slot, so with delta 0 it
-        only swaps places with that last member.
+        chain's bucket-1 moves inline, with this method's delta-0 swap,
+        since sending them through this method read 7.7% slower per color
+        write on perfbench's class2-fail (0.190 against 0.204 us, 2-vCPU
+        host).  The vertex leaves its bucket by taking the last member into
+        its slot, so with delta 0 it only swaps places with that last
+        member.
         """
         at, buckets, pos = self._at, self._buckets, self._pos
         v = b // self._width
@@ -667,30 +670,28 @@ def _replay(cd, v, record, getrandbits) -> int:
     recoloring count, with the cycle's swap left pending.
 
     The draws are ``kempe_start``'s two over one item and one per cycle
-    edge.  The bucket moves are ``_shift``'s, made inline in bucket 1: v
-    leaves it, each conflicting cycle vertex moves to its end and v joins
-    it again, so no level and not the total change.  The swap is one flip
-    of the record's parity; ``ConflictDictionary.settle`` makes it.
+    edge.  The walk's bucket moves take v out of bucket 1, each
+    conflicting cycle vertex to its end and v back in; no level and not
+    the total change.  They are made inline as ``_shift``'s delta-0 swap:
+    v trades places with the last member, then each conflicting cycle
+    vertex with the member just before v, which leaves the same order and
+    positions.  The cycle's swap is one flip of the record's parity;
+    ``ConflictDictionary.settle`` makes it.
     """
     steps = record[1]
     _skip_single_draws(getrandbits, steps + 2)
     record[0] ^= 1
     members, pos = cd._buckets[1], cd._pos
-    last = members.pop()
-    if last != v:
-        i = pos[v]
-        members[i] = last
-        pos[last] = i
     end = len(members) - 1
+    i, last = pos[v], members[end]
+    members[i], members[end] = last, v
+    pos[last], pos[v] = i, end
+    # v stays last: each conflicting cycle vertex swaps with the slot before it
+    end -= 1
     for w in record[2]:
-        i = pos[w]
-        last = members[end]
-        members[i] = last
-        members[end] = w
-        pos[last] = i
-        pos[w] = end
-    pos[v] = end + 1
-    members.append(v)
+        i, last = pos[w], members[end]
+        members[i], members[end] = last, w
+        pos[last], pos[w] = i, end
     return steps
 
 

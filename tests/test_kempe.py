@@ -2,7 +2,7 @@ import random
 import re
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -598,6 +598,12 @@ def test_skipped_single_draws_match_the_plain_loop():
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.integers(0, 5000), st.integers(0, 2**64), st.integers(0, 50))
+# either side of each full 1024-word round, from a generator already drawn from
+@example(1023, 5, 1)
+@example(1024, 6, 17)
+@example(1025, 7, 31)
+@example(2048, 8, 32)
+@example(2049, 9, 50)
 def test_skipped_single_draws_match_the_plain_loop_after_other_draws(r, seed, before):
     # the replay starts wherever the generator stands, not only at a fresh seed
     rng, ref = random.Random(seed), random.Random(seed)
@@ -1026,12 +1032,28 @@ def test_a_conflicting_vertex_on_another_cycle_moves_in_its_bucket():
     # vertex 9 sits at level 1 on a {0, 1} triangle of its own
     edges += cycle_edges(9, 3, 0, 1) + [((9, 12), 2), ((9, 13), 3)]
     g = colored(14, edges)
-    cd = ConflictDictionary(g, 4)
-    assert sorted(cd._buckets[1]) == [0, 2, 9]
-    assert cd.detect_dead()
-    assert cd._dead[0][2] == [2]
     for seed in range(4):
         assert replay_against_walk(copy_colored(g), 4, 20, seed) > 0
+    # every order of bucket 1: v first, v last, w just before v, and so on
+    for order in permutations([0, 2, 9]):
+        replayed, walked = copy_colored(g), copy_colored(g)
+        cd, twin = ConflictDictionary(replayed, 4), ConflictDictionary(walked, 4)
+        assert sorted(cd._buckets[1]) == [0, 2, 9]
+        for d in (cd, twin):
+            d._buckets[1][:] = order
+            for i, x in enumerate(order):
+                d._pos[x] = i
+        assert cd.detect_dead()
+        assert cd._dead[0][2] == [2]
+        rng, twin_rng = random.Random(0), random.Random(0)
+        assert kempe_start(replayed, cd, 4, 0, rng) == kempe_start(walked, twin, 4, 0, twin_rng)
+        assert twin._dead is None
+        assert rng.getstate() == twin_rng.getstate()
+        assert cd._buckets[1] == twin._buckets[1], order
+        assert cd._pos == twin._pos, order
+        cd.settle()
+        assert replayed.colors == walked.colors
+        cd.check_consistency()
 
 
 def dead_hub(rng, length):
@@ -1099,16 +1121,16 @@ def test_a_walked_chain_drops_the_records():
 
 def test_a_replay_keeps_the_records():
     # triangle 0-1-2 with edges 0: (0, 1), 1: (1, 2), 2: (2, 0), walked from
-    # vertex 0's later 0-edge: [parity, L, inner, a, c, walk, bases]
+    # vertex 0's later 0-edge: [parity, L, inner, a, c, walk]
     g, cd = dead_triangle_dictionary()
     record = cd._dead[0]
-    assert record == [0, 3, [], 0, 1, [2, 1, 0], [0, 8, 4]]
+    assert record == [0, 3, [], 0, 1, [2, 1, 0]]
     rng = random.Random(0)
     for k in range(1, 4):
         assert kempe_start(g, cd, 3, 0, rng) == 3
         # a replay flips the parity and writes nothing else in the record
         assert cd._dead == {0: record}
-        assert record == [k % 2, 3, [], 0, 1, [2, 1, 0], [0, 8, 4]]
+        assert record == [k % 2, 3, [], 0, 1, [2, 1, 0]]
     cd.settle()
     assert cd._dead is None
     cd.check_consistency()
@@ -1131,10 +1153,10 @@ def test_detector_finds_the_same_cycles_after_a_settle_with_a_and_c_swapped(kind
             kempe_start(g, cd, colors, cd.sample_max_level(rng), rng)
         found += any(record[0] for record in cd._dead.values())
         want = {}
-        for v, (parity, steps, inner, a, c, walk, bases) in cd._dead.items():
+        for v, (parity, steps, inner, a, c, walk) in cd._dead.items():
             if parity:
                 a, c = c, a
-            want[v] = [0, steps, inner, a, c, walk, bases]
+            want[v] = [0, steps, inner, a, c, walk]
         cd.settle()
         assert cd._dead is None
         cd.check_consistency()
